@@ -248,12 +248,7 @@ def cmd_homology(args) -> int:
     group, w = _load_group_and_character(args)
     budget = _resolve_budget(args)
     stored = _load_resolution_choice(args, group)
-    provider = "auto" if stored is not None else args.resolution
-    pres = group_homology(group, w, args.degree, provider=provider,
-                          budget=budget, resolution=stored)
-    lines = [f"H_{args.degree} = {pres.describe()}"]
-    doc: Dict = {"degree": args.degree,
-                 "homology": _presentation_doc(pres)}
+    report = None
     if args.orbits:
         if stored is not None:
             raise UnsupportedInputError(
@@ -262,6 +257,15 @@ def cmd_homology(args) -> int:
         report = homology_orbits(group, w, args.degree,
                                  provider=args.resolution, budget=budget,
                                  aut_cap=args.aut_cap)
+        pres = report.presentation
+    else:
+        provider = "auto" if stored is not None else args.resolution
+        pres = group_homology(group, w, args.degree, provider=provider,
+                              budget=budget, resolution=stored)
+    lines = [f"H_{args.degree} = {pres.describe()}"]
+    doc: Dict = {"degree": args.degree,
+                 "homology": _presentation_doc(pres)}
+    if report is not None:
         lines.append(f"torsion classes up to sign and automorphisms: "
                      f"{report.orbit_count}")
         doc["orbit_count"] = report.orbit_count

@@ -3,26 +3,29 @@ to four, plus the action of character-preserving automorphisms on it and
 the resulting orbit decomposition.
 
 Homology is read off a free resolution after collapsing each differential
-through the sign character.  The kernel-modulo-image step presents the
-answer on a basis of the kernel lattice; induced maps are solved in that
-same basis, which keeps everything exact and keeps automorphism actions
-honest homomorphisms.
+through the sign character.  The chain modules are free, so ``H_k`` comes
+from the elementary divisors of the twisted differentials ``d_k`` and
+``d_{k+1}`` alone.  Orbit queries keep the kernel-basis route: the
+kernel-modulo-image step presents the answer on a basis of the kernel
+lattice, and induced maps are solved in that same basis, which keeps
+everything exact and keeps automorphism actions honest homomorphisms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import itertools
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .abelian import AbelianHom, AbelianPresentation
 from .errors import IncompatibleInputError, UnsupportedInputError
 from .groups import (FiniteGroup, OrientationChar, automorphisms_preserving,
                      DEFAULT_AUT_CAP)
-from .intmat import IntMatrix, SNFSolver, kernel_basis
+from .intmat import (IntMatrix, SNFSolver, elementary_divisors,
+                     from_sparse_columns, kernel_basis, sparse_columns)
 from .resolutions import (DEFAULT_BUDGET, Resolution, chain_resolution,
-                          periodic_generator, periodic_resolution)
+                          chain_resolution_ranks, chain_tuples, check_budget,
+                          periodic_generator, periodic_resolution,
+                          twisted_chain_columns)
 
 MAX_DEGREE = 4
 
@@ -59,17 +62,21 @@ def homology_with_basis(d_out: IntMatrix,
     return AbelianPresentation.from_relation_rows(c, rows), basis
 
 
+def _provider_name(group: FiniteGroup, provider: str) -> str:
+    if provider == "auto":
+        return "cyclic" if group.is_cyclic() else "bar"
+    if provider in ("cyclic", "bar"):
+        return provider
+    raise UnsupportedInputError(f"unknown resolution provider '{provider}'")
+
+
 def resolution_for(group: FiniteGroup, length: int, provider: str = "auto",
                    budget: Optional[int] = DEFAULT_BUDGET) -> Resolution:
     """Pick and build a resolution: the periodic one for cyclic groups under
     ``auto``, the chain resolution otherwise."""
-    if provider == "auto":
-        provider = "cyclic" if group.is_cyclic() else "bar"
-    if provider == "cyclic":
+    if _provider_name(group, provider) == "cyclic":
         return periodic_resolution(group, length)
-    if provider == "bar":
-        return chain_resolution(group, length, budget=budget)
-    raise UnsupportedInputError(f"unknown resolution provider '{provider}'")
+    return chain_resolution(group, length, budget=budget)
 
 
 def _check_degree(k: int) -> None:
@@ -79,39 +86,75 @@ def _check_degree(k: int) -> None:
             f"0..{MAX_DEGREE}")
 
 
+# A twisted differential as ``(rows, columns)``: its row count and its
+# columns as ``{row: value}`` maps, the arguments of ``elementary_divisors``.
+SparseDifferential = Tuple[int, List[Dict[int, int]]]
+
+
+def _twisted_differentials(group: FiniteGroup, w: OrientationChar, k: int,
+                           provider: str, budget: Optional[int],
+                           resolution: Optional[Resolution]
+                           ) -> Tuple[SparseDifferential, SparseDifferential]:
+    """The twisted differentials ``d_k`` and ``d_{k+1}``, checked to compose
+    to zero; ``d_0`` is the zero map out of the degree-zero module.
+
+    Without a stored resolution the bar provider builds the two matrices
+    straight from tuples, after the budget check the full chain resolution
+    of length ``k + 1`` would make; other resolutions are collapsed
+    through the character."""
+    _check_degree(k)
+    if w.group is not group:
+        raise IncompatibleInputError(
+            "orientation character belongs to a different group")
+    if resolution is None and _provider_name(group, provider) == "bar":
+        ranks = chain_resolution_ranks(group.order, k + 1)
+        check_budget(group.order, ranks, budget)
+        twisted = lambda j: twisted_chain_columns(group, w, j)
+    else:
+        if resolution is None:
+            resolution = resolution_for(group, k + 1, provider, budget)
+        elif resolution.length < k + 1:
+            raise UnsupportedInputError(
+                f"resolution of length {resolution.length} cannot compute "
+                f"degree {k}; length {k + 1} is needed")
+        ranks = resolution.ranks
+        twisted = lambda j: sparse_columns(resolution.twisted_matrix(j, w))
+    d_out = twisted(k) if k else [{} for _ in range(ranks[0])]
+    d_in = twisted(k + 1)
+    for column in d_in:
+        image: Dict[int, int] = {}
+        for i, c in column.items():
+            for r, v in d_out[i].items():
+                image[r] = image.get(r, 0) + c * v
+        if any(image.values()):
+            raise IncompatibleInputError(
+                "maps do not compose to zero; not a chain complex")
+    rows_out = ranks[k - 1] if k else 0
+    return (rows_out, d_out), (ranks[k], d_in)
+
+
 def group_homology(group: FiniteGroup, w: OrientationChar, k: int,
                    provider: str = "auto",
                    budget: Optional[int] = DEFAULT_BUDGET,
                    resolution: Optional[Resolution] = None) -> AbelianPresentation:
     """Homology of the group in degree ``k`` with coefficients in the
-    integers twisted by the character."""
-    _check_degree(k)
-    if w.group is not group:
-        raise IncompatibleInputError(
-            "orientation character belongs to a different group")
-    if resolution is None:
-        resolution = resolution_for(group, k + 1, provider, budget)
-    elif resolution.length < k + 1:
-        raise UnsupportedInputError(
-            f"resolution of length {resolution.length} cannot compute "
-            f"degree {k}; length {k + 1} is needed")
-    d_in = resolution.twisted_matrix(k + 1, w)
-    if k == 0:
-        rows = [d_in.column(j) for j in range(d_in.cols)]
-        return AbelianPresentation.from_relation_rows(resolution.ranks[0], rows)
-    d_out = resolution.twisted_matrix(k, w)
-    return quotient_of_kernel_by_image(d_out, d_in)
+    integers twisted by the character.
 
-
-def _chain_tuples(group: FiniteGroup, k: int) -> List[Tuple[int, ...]]:
-    nonidentity = list(range(1, group.order))
-    return list(itertools.product(nonidentity, repeat=k))
+    ``C_{k-1}`` is free, so ``H_k`` is ``Z^(n_k - rank d_k - rank d_{k+1})``
+    plus one cyclic summand per elementary divisor of ``d_{k+1}`` above 1."""
+    d_out, d_in = _twisted_differentials(group, w, k, provider, budget,
+                                         resolution)
+    rank_out = sum(1 for d in elementary_divisors(*d_out) if d)
+    divisors = elementary_divisors(*d_in)
+    rank_in = sum(1 for d in divisors if d)
+    return AbelianPresentation.from_factors(
+        len(d_out[1]) - rank_out - rank_in, [d for d in divisors if d > 1])
 
 
 def _chain_self_map(group: FiniteGroup, k: int, alpha: Sequence[int]) -> IntMatrix:
     """Degree-``k`` twisted chain map induced by an automorphism on the
     chain resolution: entrywise relabeling of tuples."""
-    tuples = _chain_tuples(group, k)
+    tuples = chain_tuples(group, k)
     index = {t: i for i, t in enumerate(tuples)}
     mat = IntMatrix.zeros(len(tuples), len(tuples))
     for j, tup in enumerate(tuples):
@@ -148,23 +191,14 @@ def induced_homology_maps(group: FiniteGroup, w: OrientationChar, k: int,
                           ) -> Tuple[AbelianPresentation, List[AbelianHom]]:
     """The degree-``k`` homology together with the endomorphisms induced by
     every character-preserving automorphism of the group."""
-    _check_degree(k)
-    if provider == "auto":
-        provider = "cyclic" if group.is_cyclic() else "bar"
-    resolution = resolution_for(group, k + 1, provider, budget)
+    d_out, d_in = _twisted_differentials(group, w, k, provider, budget, None)
     auts = automorphisms_preserving(group, w, cap=aut_cap)
-    if provider == "cyclic":
+    if _provider_name(group, provider) == "cyclic":
         self_map = lambda alpha: _periodic_self_map(group, w, k, alpha)
     else:
         self_map = lambda alpha: _chain_self_map(group, k, alpha)
-    d_in = resolution.twisted_matrix(k + 1, w)
-    if k == 0:
-        rows = [d_in.column(j) for j in range(d_in.cols)]
-        pres = AbelianPresentation.from_relation_rows(resolution.ranks[0], rows)
-        homs = [AbelianHom(pres, pres, self_map(alpha)) for alpha in auts]
-        return pres, homs
-    d_out = resolution.twisted_matrix(k, w)
-    pres, basis = homology_with_basis(d_out, d_in)
+    pres, basis = homology_with_basis(from_sparse_columns(*d_out),
+                                      from_sparse_columns(*d_in))
     homs = []
     solver = SNFSolver(basis) if basis.cols else None
     for alpha in auts:

@@ -10,6 +10,9 @@ Conventions
 * ``IntMatrix`` is dense, with explicit row and column counts so that the
   degenerate shapes ``0 x n`` and ``n x 0`` (empty relation sets, rank-zero
   modules) stay unambiguous.
+* A sparse matrix is a row count plus a list of columns, each a
+  ``{row: value}`` map of its nonzero entries; ``elementary_divisors``
+  takes this form.
 * ``smith_normal_form`` returns ``U, D, V`` with ``U * M * V = D``, both
   transforms unimodular, and the diagonal of ``D`` nonnegative with each
   entry dividing the next.  The inverses of the transforms are accumulated
@@ -19,8 +22,9 @@ Conventions
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 
 def xgcd(a: int, b: int) -> tuple:
@@ -564,6 +568,88 @@ def smith_normal_form(m: IntMatrix, strategy: str = "classical",
         vinv=mk(w.vinv) if w.vinv is not None else (IntMatrix.identity(0) if track_v else None),
         diagonal=diagonal,
     )
+
+
+def sparse_columns(m: IntMatrix) -> List[Dict[int, int]]:
+    """The columns of ``M`` as ``{row: value}`` maps of their nonzero entries."""
+    columns: List[Dict[int, int]] = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m.data):
+        for j, value in enumerate(row):
+            if value:
+                columns[j][i] = value
+    return columns
+
+
+def from_sparse_columns(nrows: int, columns: Sequence[Mapping[int, int]]) -> IntMatrix:
+    """The dense ``nrows x len(columns)`` matrix with the given sparse columns."""
+    m = IntMatrix(nrows, len(columns))
+    for j, col in enumerate(columns):
+        for i, value in col.items():
+            m.data[i][j] = value
+    return m
+
+
+def elementary_divisors(nrows: int, columns: Sequence[Mapping[int, int]]) -> List[int]:
+    """The Smith normal form diagonal of the ``nrows x len(columns)`` matrix
+    whose ``j``-th column has the nonzero entries ``columns[j]`` (row ->
+    value); the same list as ``smith_normal_form(M).diagonal``.
+
+    Entries ``±1`` are eliminated sparsely first: each such pivot is
+    replaced by its Schur complement, which contributes a divisor ``1`` and
+    drops its row and column.  Within a column the unit in the shortest row
+    is taken, which keeps fill-in low; a column without a unit is looked at
+    again only after an elimination changed it.  The dense
+    :func:`smith_normal_form` then finishes the remainder.
+    """
+    cols = [{i: v for i, v in col.items() if v} for col in columns]
+    in_row: List[set] = [set() for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i in col:
+            in_row[i].add(j)
+    queue = deque(sorted(range(len(cols)), key=lambda j: len(cols[j])))
+    queued = [True] * len(cols)
+    units = 0
+    while queue:
+        j = queue.popleft()
+        queued[j] = False
+        pivot_col = cols[j]
+        best = -1
+        for i, value in pivot_col.items():
+            if (value == 1 or value == -1) and (
+                    best < 0 or len(in_row[i]) < len(in_row[best])):
+                best = i
+        if best < 0:
+            continue
+        for r in pivot_col:
+            in_row[r].discard(j)
+        # col_c -= (col_c[best] / pivot) * pivot_col, and 1 / pivot = pivot.
+        pivot = pivot_col[best]
+        for c in in_row[best].copy():
+            col = cols[c]
+            factor = col[best] * pivot
+            for r, value in pivot_col.items():
+                new = col.get(r, 0) - factor * value
+                if new:
+                    if r not in col:
+                        in_row[r].add(c)
+                    col[r] = new
+                else:
+                    del col[r]
+                    in_row[r].discard(c)
+            if not queued[c]:
+                queued[c] = True
+                queue.append(c)
+        cols[j] = {}
+        units += 1
+    live_cols = [col for col in cols if col]
+    position = {i: p for p, i in enumerate(sorted(
+        {i for col in live_cols for i in col}))}
+    rest = from_sparse_columns(len(position), [
+        {position[i]: value for i, value in col.items()} for col in live_cols])
+    nonzero = [d for d in smith_normal_form(rest, track_u=False,
+                                            track_v=False).diagonal if d]
+    zeros = min(nrows, len(cols)) - units - len(nonzero)
+    return [1] * units + nonzero + [0] * zeros
 
 
 class SNFSolver:

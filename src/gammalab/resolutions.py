@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, IncompatibleInputError, UnsupportedInputError
 from .groups import FiniteGroup, OrientationChar
-from .intmat import IntMatrix
+from .intmat import IntMatrix, elementary_divisors, sparse_columns
 
 DEFAULT_BUDGET = 250_000
 
@@ -83,9 +83,13 @@ class Resolution:
 
     def validate(self, check_exactness: bool = True) -> None:
         """Check the chain condition, and optionally exactness over the
-        integers (the defining property of resolving the integers)."""
-        from .homology import quotient_of_kernel_by_image
+        integers (the defining property of resolving the integers).
 
+        Exactness is read off elementary divisors: the complex is exact at
+        degree ``k`` when ``rank d_k + rank d_{k+1}`` is the rank of the
+        degree-``k`` module and every nonzero divisor of ``d_{k+1}`` is 1;
+        the cokernel of ``d_1`` must be ``Z``, so ``d_1`` has corank one
+        and no divisor above 1."""
         underlying = [self.underlying_matrix(k) for k in range(1, self.length + 1)]
         for k in range(2, self.length + 1):
             prod = underlying[k - 2].mul(underlying[k - 1])
@@ -93,26 +97,21 @@ class Resolution:
                 raise IncompatibleInputError(
                     f"differentials at degrees {k} and {k - 1} do not compose "
                     f"to zero")
-        if not check_exactness:
+        if not check_exactness or self.length < 1:
             return
-        if self.length >= 1:
-            cokernel_rank, cokernel_torsion = _cokernel_invariants(underlying[0])
-            if cokernel_rank != 1 or cokernel_torsion:
-                raise IncompatibleInputError(
-                    "degree-zero cokernel of the underlying complex is not "
-                    "infinite cyclic; this chain does not resolve the integers")
+        divisors = [elementary_divisors(m.rows, sparse_columns(m))
+                    for m in underlying]
+        rank_of = [0] + [sum(1 for d in divs if d) for divs in divisors]
+        unit_only = [all(d in (0, 1) for d in divs) for divs in divisors]
+        if underlying[0].rows - rank_of[1] != 1 or not unit_only[0]:
+            raise IncompatibleInputError(
+                "degree-zero cokernel of the underlying complex is not "
+                "infinite cyclic; this chain does not resolve the integers")
         for k in range(1, self.length):
-            h = quotient_of_kernel_by_image(underlying[k - 1], underlying[k])
-            if not h.is_trivial():
+            if (rank_of[k] + rank_of[k + 1] != underlying[k - 1].cols
+                    or not unit_only[k]):
                 raise IncompatibleInputError(
                     f"underlying complex is not exact at degree {k}")
-
-
-def _cokernel_invariants(mat: IntMatrix):
-    from .abelian import AbelianPresentation
-
-    rows = [mat.column(j) for j in range(mat.cols)]
-    return AbelianPresentation.from_relation_rows(mat.rows, rows).invariant_factors()
 
 
 def chain_resolution_ranks(order: int, length: int) -> List[int]:
@@ -137,54 +136,75 @@ def check_budget(order: int, ranks: Sequence[int], budget: Optional[int]) -> Non
             f"budget or use a smaller resolution")
 
 
+def chain_tuples(group: FiniteGroup, k: int) -> List[Tuple[int, ...]]:
+    """The ``k``-tuples of nonidentity elements, in the order in which they
+    index the degree-``k`` generators of the chain resolution."""
+    return list(itertools.product(range(1, group.order), repeat=k))
+
+
+def _bar_terms(group: FiniteGroup, tup: Tuple[int, ...]
+               ) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
+    """The boundary of the generator ``tup`` as ``(row tuple, group
+    element, coefficient)`` terms: drop the first entry (with its
+    translation recorded as a ring coefficient), merge adjacent entries with
+    alternating signs, and drop the last entry.  Merged tuples containing
+    the identity die."""
+    yield tup[1:], tup[0], 1
+    sign = -1
+    for i in range(len(tup) - 1):
+        merged = group.table[tup[i]][tup[i + 1]]
+        if merged != 0:
+            yield tup[:i] + (merged,) + tup[i + 2:], 0, sign
+        sign = -sign
+    yield tup[:-1], 0, sign
+
+
 def chain_resolution(group: FiniteGroup, length: int,
                      budget: Optional[int] = DEFAULT_BUDGET) -> Resolution:
     """The normalized inhomogeneous chain resolution.
 
-    Degree ``k`` is free on ``k``-tuples of nonidentity elements; the
-    differential drops the first entry (with its translation recorded as a
-    ring coefficient), merges adjacent entries with alternating signs, and
-    drops the last entry.  Merged tuples containing the identity die.
+    Degree ``k`` is free on ``k``-tuples of nonidentity elements (see
+    :func:`chain_tuples`); the differential is given by :func:`_bar_terms`.
     """
     order = group.order
     ranks = chain_resolution_ranks(order, length)
     check_budget(order, ranks, budget)
-    nonidentity = list(range(1, order))
-    tuples_by_degree: List[List[Tuple[int, ...]]] = [
-        list(itertools.product(nonidentity, repeat=k)) for k in range(length + 1)
-    ]
-    index_by_degree = [
-        {t: i for i, t in enumerate(tuples)} for tuples in tuples_by_degree
-    ]
+    tuples_by_degree = [chain_tuples(group, k) for k in range(length + 1)]
     differentials = []
     for k in range(1, length + 1):
-        rows = ranks[k - 1]
+        row_index = {t: i for i, t in enumerate(tuples_by_degree[k - 1])}
         entries: List[List[Dict[int, int]]] = [
-            [dict() for _ in range(ranks[k])] for _ in range(rows)
+            [dict() for _ in range(ranks[k])] for _ in range(ranks[k - 1])
         ]
-        row_index = index_by_degree[k - 1]
         for col, tup in enumerate(tuples_by_degree[k]):
-            head, tail = tup[0], tup[1:]
-            _add_coeff(entries[row_index[tail]][col], head, 1)
-            sign = -1
-            for i in range(k - 1):
-                merged = group.table[tup[i]][tup[i + 1]]
-                if merged != 0:
-                    row = tup[:i] + (merged,) + tup[i + 2:]
-                    _add_coeff(entries[row_index[row]][col], 0, sign)
-                sign = -sign
-            _add_coeff(entries[row_index[tup[:-1]]][col], 0, sign)
+            for row, g, c in _bar_terms(group, tup):
+                _add_coeff(entries[row_index[row]][col], g, c)
         ring: RingMatrix = []
-        for i in range(rows):
+        for row_entries in entries:
             ring_row = []
-            for j in range(ranks[k]):
+            for entry in row_entries:
                 coeffs = [0] * order
-                for g, c in entries[i][j].items():
+                for g, c in entry.items():
                     coeffs[g] = c
                 ring_row.append(tuple(coeffs))
             ring.append(ring_row)
         differentials.append(ring)
     return Resolution(group, ranks, differentials)
+
+
+def twisted_chain_columns(group: FiniteGroup, w: OrientationChar,
+                          k: int) -> List[Dict[int, int]]:
+    """The columns of ``chain_resolution(group, k).twisted_matrix(k, w)``
+    as ``{row: value}`` maps, built straight from the tuples: no ring
+    matrix and no budget check."""
+    row_index = {t: i for i, t in enumerate(chain_tuples(group, k - 1))}
+    columns = []
+    for tup in chain_tuples(group, k):
+        column: Dict[int, int] = {}
+        for row, g, c in _bar_terms(group, tup):
+            _add_coeff(column, row_index[row], c * w(g))
+        columns.append(column)
+    return columns
 
 
 def _add_coeff(entry: Dict[int, int], g: int, c: int) -> None:

@@ -10,7 +10,12 @@ Independent oracles frozen into this file:
 * degree-one homology = abelianization, read off the presentations of the
   built-in groups;
 * classical values for the symmetric group on three letters, including the
-  sign-twisted row derived from its semidirect-product spectral sequence.
+  sign-twisted row derived from its semidirect-product spectral sequence;
+* degree three of the order-eight groups: ``H_3(Q8; Z) = Z/8`` from the
+  4-periodic resolution of the generalized quaternion groups (Cartan &
+  Eilenberg, *Homological Algebra*, XII.7), which also gives
+  ``H_4(Q8; Z) = 0``, and ``H_3(D4; Z) = Z/2 + Z/2 + Z/4`` for the
+  dihedral group of order eight.
 
 Where two providers can compute the same group (inductive chain construction
 vs. the periodic pattern) they are required to agree exactly.
@@ -231,6 +236,36 @@ def test_order_eight_groups_degree_one():
     for group in (dihedral_group_4(), quaternion_group()):
         w = OrientationChar.trivial(group)
         assert group_homology(group, w, 1).invariant_factors() == (0, (2, 2))
+
+
+# Degree three of an order-eight group needs the chain resolution of length
+# four, which costs 6,725,600 budget units.
+ORDER_EIGHT_DEGREE_THREE_BUDGET = 7_000_000
+
+
+def test_quaternion_group_degree_three():
+    q8 = quaternion_group()
+    w = OrientationChar.trivial(q8)
+    got = group_homology(q8, w, 3, budget=ORDER_EIGHT_DEGREE_THREE_BUDGET)
+    assert got.invariant_factors() == (0, (8,))
+
+
+def test_quaternion_group_degree_four():
+    # Period four: H_4(Q8; Z) = H^5(Q8; Z) = 0.  The chain resolution of
+    # length five costs 329,554,456 budget units.
+    q8 = quaternion_group()
+    w = OrientationChar.trivial(q8)
+    with pytest.raises(BudgetExceededError):
+        group_homology(q8, w, 4, budget=329_554_455)
+    got = group_homology(q8, w, 4, budget=329_554_456)
+    assert got.invariant_factors() == (0, ())
+
+
+def test_dihedral_group_degree_three():
+    d4 = dihedral_group_4()
+    w = OrientationChar.trivial(d4)
+    got = group_homology(d4, w, 3, budget=ORDER_EIGHT_DEGREE_THREE_BUDGET)
+    assert got.invariant_factors() == (0, (2, 2, 4))
 
 
 # -- parameter validation ---------------------------------------------------

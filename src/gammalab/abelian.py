@@ -63,13 +63,19 @@ class AbelianPresentation:
 
     @classmethod
     def from_factors(cls, rank: int, factors: Sequence[int]) -> "AbelianPresentation":
+        """``Z^rank`` plus one cyclic summand per factor; factors that already
+        form a divisor chain of entries >= 2 are taken as the invariants."""
         n = rank + len(factors)
         rows = []
         for i, d in enumerate(factors):
             row = [0] * n
             row[rank + i] = d
             rows.append(row)
-        return cls(n, IntMatrix.from_rows(rows, cols=n))
+        presentation = cls(n, IntMatrix.from_rows(rows, cols=n))
+        if all(d >= 2 for d in factors) and all(
+                b % a == 0 for a, b in zip(factors, factors[1:])):
+            presentation._invariants = (rank, tuple(factors))
+        return presentation
 
     # -- invariants ---------------------------------------------------
 
@@ -138,6 +144,7 @@ class AbelianPresentation:
                     torsion_idx.append(i)
                     torsion_mod.append(d)
             self._canonical = (snf.v, snf.vinv, free_idx, torsion_idx, torsion_mod)
+            self._invariants = (len(free_idx), tuple(torsion_mod))
         return self._canonical
 
     def to_canonical(self, x: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

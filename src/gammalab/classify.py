@@ -41,6 +41,8 @@ __all__ = [
     "involution_rank_formula",
     "TwoTypeHomologySplit",
     "h4_twotype_split",
+    "NormQuotientFacts",
+    "norm_quotient_facts",
     "CensusReport",
     "census",
     "module_census",
@@ -463,13 +465,28 @@ class CensusReport:
     form_matrix: Optional[List[List[GroupRingElement]]] = None
 
 
-def _sequence_one_checks(group: FiniteGroup, w: OrientationChar):
+@dataclass
+class NormQuotientFacts:
+    """Twisted coinvariants and first derived functor of the norm quotient,
+    each with whether it takes its expected value: cyclic of the group order
+    (trivial for the trivial group) and trivial."""
+
+    coinvariants: AbelianPresentation
+    tor: AbelianPresentation
+    cyclic_of_group_order: bool
+    tor_trivial: bool
+
+
+def norm_quotient_facts(group: FiniteGroup,
+                        w: OrientationChar) -> NormQuotientFacts:
     nq = norm_quotient_module(group, w)
-    nq_coinv = twisted_coinvariants(nq, w).presentation
+    coinv = twisted_coinvariants(nq, w).presentation
+    tor = tor_one(nq, w)
     expected = (0, ()) if group.order == 1 else (0, (group.order,))
-    cyclic_ok = nq_coinv.invariant_factors() == expected
-    tor_ok = tor_one(nq, w).invariant_factors() == (0, ())
-    return nq_coinv, cyclic_ok, tor_ok
+    return NormQuotientFacts(
+        coinvariants=coinv, tor=tor,
+        cyclic_of_group_order=coinv.invariant_factors() == expected,
+        tor_trivial=tor.invariant_factors() == (0, ()))
 
 
 def census(q: QuadraticTwoType) -> CensusReport:
@@ -482,13 +499,14 @@ def census(q: QuadraticTwoType) -> CensusReport:
     group, w = q.group, q.w
     coinv = twisted_coinvariants(quadratic_module(q.pi2), w)
     torsion, _ = coinv.presentation.torsion_part()
-    gamma_coords = lambda_to_gamma(q.form)
+    # lambda_to_gamma without its second hermitian check.
+    gamma_coords = value_of_symmetric_matrix(underlying_symmetric_matrix(q.form))
     cls = coinv.projection.apply(gamma_coords)
     functional = coinv.presentation.functional_hitting_one(cls)
     r = involution_rank_formula(group, w)
     k = q.pi2.zpi_free_rank
     matches = (torsion.invariant_factors() == (0, (2,) * (r * k)))
-    nq_coinv, cyclic_ok, tor_ok = _sequence_one_checks(group, w)
+    facts = norm_quotient_facts(group, w)
     return CensusReport(
         group_order=group.order,
         free_rank=k,
@@ -497,9 +515,9 @@ def census(q: QuadraticTwoType) -> CensusReport:
         count=torsion.torsion_order(),
         involution_rank=r,
         torsion_matches_involution_formula=matches,
-        norm_quotient_coinvariants=nq_coinv,
-        norm_quotient_is_cyclic_of_group_order=cyclic_ok,
-        norm_quotient_tor_trivial=tor_ok,
+        norm_quotient_coinvariants=facts.coinvariants,
+        norm_quotient_is_cyclic_of_group_order=facts.cyclic_of_group_order,
+        norm_quotient_tor_trivial=facts.tor_trivial,
         lambda_class=cls,
         lambda_primitive=coinv.presentation.is_primitive_mod_torsion(cls),
         kappa_functional=functional,
@@ -521,7 +539,7 @@ def module_census(group: FiniteGroup, w: OrientationChar,
     matches = None
     if k is not None:
         matches = (torsion.invariant_factors() == (0, (2,) * (r * k)))
-    nq_coinv, cyclic_ok, tor_ok = _sequence_one_checks(group, w)
+    facts = norm_quotient_facts(group, w)
     return CensusReport(
         group_order=group.order,
         free_rank=k,
@@ -530,9 +548,9 @@ def module_census(group: FiniteGroup, w: OrientationChar,
         count=torsion.torsion_order(),
         involution_rank=r,
         torsion_matches_involution_formula=matches,
-        norm_quotient_coinvariants=nq_coinv,
-        norm_quotient_is_cyclic_of_group_order=cyclic_ok,
-        norm_quotient_tor_trivial=tor_ok,
+        norm_quotient_coinvariants=facts.coinvariants,
+        norm_quotient_is_cyclic_of_group_order=facts.cyclic_of_group_order,
+        norm_quotient_tor_trivial=facts.tor_trivial,
     )
 
 

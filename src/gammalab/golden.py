@@ -15,10 +15,11 @@ from typing import Callable, Dict, List, Tuple
 from .abelian import AbelianPresentation, format_invariants
 from .classify import (QuadraticTwoType, census, check_hermitian,
                        h4_twotype_split, involution_rank_formula,
-                       kappa_splitting, module_census, obstruction_torsion)
+                       kappa_splitting, module_census, norm_quotient_facts,
+                       obstruction_torsion)
 from .gamma import gamma_rank, quadratic_value
 from .groups import FiniteGroup, OrientationChar, all_characters
-from .modules import free_module, norm_quotient_module, tor_one, twisted_coinvariants
+from .modules import free_module
 from .homology import group_homology
 from .serialize import (bundled_names, bundled_path, load_form, load_group,
                         load_module)
@@ -112,19 +113,16 @@ def run_golden_suite() -> List[GoldenCheck]:
     norm_failures = []
     for name in sorted(groups):
         group, _ = groups[name]
-        expected = (0, ()) if group.order == 1 else (0, (group.order,))
         for w in all_characters(group):
-            nq = norm_quotient_module(group, w)
-            coinv = twisted_coinvariants(nq, w).presentation
-            tor = tor_one(nq, w)
-            if coinv.invariant_factors() != expected:
+            facts = norm_quotient_facts(group, w)
+            if not facts.cyclic_of_group_order:
                 norm_failures.append(
                     f"{name} w={list(w.values)}: coinvariants "
-                    f"{coinv.describe()}")
-            if tor.invariant_factors() != (0, ()):
+                    f"{facts.coinvariants.describe()}")
+            if not facts.tor_trivial:
                 norm_failures.append(
                     f"{name} w={list(w.values)}: derived functor "
-                    f"{tor.describe()}")
+                    f"{facts.tor.describe()}")
     checks.append(GoldenCheck(
         label=("norm-quotient coinvariants are cyclic of the group order "
                "with vanishing first derived functor, for every bundled "

@@ -12,13 +12,15 @@ to a subgroup, and the wrong-way transfer map on coinvariants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .abelian import AbelianHom, AbelianPresentation
 from .errors import IncompatibleInputError
 from .groups import FiniteGroup, OrientationChar, SubgroupData
-from .intmat import IntMatrix, SNFSolver, kernel_basis, preimage_lattice
+from .intmat import (IntMatrix, SNFSolver, elementary_divisors, kernel_basis,
+                     preimage_lattice, sparse_columns)
 
 
 class ZPiModule:
@@ -241,20 +243,61 @@ def _check_same_group(module: ZPiModule, w: OrientationChar) -> None:
 def tor_one(module: ZPiModule, w: OrientationChar) -> AbelianPresentation:
     """First derived functor of twisted coinvariants.
 
-    Resolve one step by a free cover sending ``(i, g)`` to ``g`` acting on the
-    i-th generator, take the kernel lattice with its inherited action, and
-    compare coinvariants of kernel and cover: the kernel of that comparison
-    map is the answer, because the cover contributes nothing in degree one.
+    Resolve one step by a free cover sending ``(k, g)`` to ``g`` acting on
+    the k-th generator it keeps, take the kernel lattice with its inherited
+    action, and compare coinvariants of kernel and cover: the kernel of that
+    comparison map is the answer, because the cover contributes nothing in
+    degree one.  The answer does not depend on the cover, so the cover keeps
+    only the generators :func:`_minimal_cover` picks.
     """
     _check_same_group(module, w)
     if module.zpi_free_rank is not None:
         return AbelianPresentation.free(0)
+    return _tor_one_over(module, w, _minimal_cover(module))
+
+
+def _minimal_cover(module: ZPiModule) -> List[int]:
+    """Underlying generators whose orbits, with the relations, span ``Z^n``.
+
+    Generator ``i`` is kept when ``e_i`` lies outside the lattice spanned so
+    far.  That lattice is invariant, so ``e_i`` lies in it exactly when its
+    whole orbit does, and adding the orbit can only enlarge it: the two
+    lattices are equal when their ranks and their products of nonzero
+    elementary divisors agree.
+    """
+    n = module.underlying.ngens
+    columns = sparse_columns(module.underlying.relations.transpose())
+    size = _lattice_size(n, columns)
+    kept: List[int] = []
+    for i in range(n):
+        if size == (n, 1):
+            break
+        orbit = [{r: row[i] for r, row in enumerate(mat.data) if row[i]}
+                 for mat in module.action]
+        grown = _lattice_size(n, columns + orbit)
+        if grown != size:
+            kept.append(i)
+            columns += orbit
+            size = grown
+    return kept
+
+
+def _lattice_size(n: int, columns: List[Dict[int, int]]) -> Tuple[int, int]:
+    """Rank and product of the nonzero elementary divisors of a lattice."""
+    nonzero = [d for d in elementary_divisors(n, columns) if d]
+    return len(nonzero), math.prod(nonzero)
+
+
+def _tor_one_over(module: ZPiModule, w: OrientationChar,
+                  generators: Sequence[int]) -> AbelianPresentation:
+    """:func:`tor_one` from the cover by the given underlying generators,
+    whose orbits with the relations must span the underlying group."""
     group = module.group
     order = group.order
     n = module.underlying.ngens
-    cover = free_module(group, n)
+    cover = free_module(group, len(generators))
     cover_cols = []
-    for i in range(n):
+    for i in generators:
         for g in range(order):
             cover_cols.append(module.action[g].column(i))
     phi = IntMatrix.from_columns(cover_cols, rows=n)

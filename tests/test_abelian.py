@@ -71,6 +71,33 @@ def test_from_factors_round_trip():
             factors.append(d)
         a = AbelianPresentation.from_factors(rank, factors)
         assert a.invariant_factors() == (rank, tuple(factors))
+        # from_factors seeds its invariants; the same rows through the
+        # Smith normal form must agree with them.
+        rows = [a.relations.row(i) for i in range(a.relations.rows)]
+        b = AbelianPresentation.from_relation_rows(a.ngens, rows)
+        assert b.invariant_factors() == (rank, tuple(factors))
+
+
+def test_from_factors_normalizes_other_inputs():
+    assert AbelianPresentation.from_factors(1, [2, 3]).invariant_factors() \
+        == (1, (6,))
+    assert AbelianPresentation.from_factors(0, [4, 2]).invariant_factors() \
+        == (0, (2, 4))
+    assert AbelianPresentation.from_factors(2, [1, 0, 3]).invariant_factors() \
+        == (3, (3,))
+
+
+def test_canonical_coordinates_fill_the_invariants():
+    """The invariants read off by the canonical-coordinate diagonal equal
+    those of a fresh presentation that never computed coordinates."""
+    rng = random.Random(25)
+    for _ in range(300):
+        a = random_presentation(rng, max_gens=6, max_rels=6, bound=9)
+        rows = [a.relations.row(i) for i in range(a.relations.rows)]
+        fresh = AbelianPresentation.from_relation_rows(a.ngens, rows)
+        a.to_canonical([0] * a.ngens)
+        assert a._invariants is not None
+        assert a.invariant_factors() == fresh.invariant_factors()
 
 
 def test_describe_formats():

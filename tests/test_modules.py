@@ -29,7 +29,7 @@ from gammalab.groups import (
     subgroup_and_cosets,
 )
 from gammalab.homology import group_homology
-from gammalab.intmat import IntMatrix
+from gammalab.intmat import IntMatrix, integer_inverse
 from gammalab.modules import (
     CoinvariantsResult,
     ZPiModule,
@@ -69,6 +69,23 @@ def random_module(rng, group, max_rank=2):
     for p in pieces[1:]:
         module = direct_sum_module(module, p)
     return module
+
+
+def in_random_basis(rng, module):
+    """The same module in a random unimodular basis ``y = P x``: the action
+    is conjugated by ``P``, each relation row ``r`` becomes ``r P^T``, and
+    the result is never flagged as free."""
+    n = module.underlying.ngens
+    p = IntMatrix.identity(n)
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        p.data[i] = [a + c * b for a, b in zip(p.data[i], p.data[j])]
+    pinv = integer_inverse(p)
+    underlying = AbelianPresentation(
+        n, module.underlying.relations.mul(p.transpose()))
+    action = [p.mul(mat).mul(pinv) for mat in module.action]
+    return ZPiModule(module.group, underlying, action)
 
 
 # -- module construction and validation -------------------------------------
@@ -260,19 +277,33 @@ def test_tor_vanishes_on_free_modules():
 
 def test_tor_on_scalar_lines_matches_degree_one_homology():
     """Dimension shifting vs. resolutions: Tor_1 of a sign line against the
-    twisted augmentation equals H_1 with the product character."""
-    for group in [trivial_group(), cyclic_group(2), cyclic_group(3),
-                  cyclic_group(4), klein_four_group(), cyclic_group(6),
-                  symmetric_group_3()]:
-        for w in all_characters(group):
-            for v in all_characters(group):
+    twisted augmentation equals H_1 with the product character, and Tor_1
+    of a sum of lines written in a random basis is the sum of those H_1."""
+    rng = random.Random(66)
+    for name, group in standard_library().items():
+        characters = all_characters(group)
+
+        def h1(w, v):
+            product = OrientationChar(
+                group, [a * b for a, b in zip(w.values, v.values)])
+            return group_homology(group, product, 1).invariant_factors()
+
+        for w in characters:
+            for v in characters:
                 line = sign_module(group, v)
                 shifted = tor_one(line, w).invariant_factors()
-                product = OrientationChar(
-                    group, [a * b for a, b in zip(w.values, v.values)])
-                homological = group_homology(group, product, 1)\
-                    .invariant_factors()
-                assert shifted == homological, (w.values, v.values)
+                assert shifted == h1(w, v), (name, w.values, v.values)
+            for _ in range(3):
+                lines = [rng.choice(characters)
+                         for _ in range(rng.randint(2, 3))]
+                module = sign_module(group, lines[0])
+                expected = AbelianPresentation.from_factors(*h1(w, lines[0]))
+                for v in lines[1:]:
+                    module = direct_sum_module(module, sign_module(group, v))
+                    expected = expected.direct_sum(
+                        AbelianPresentation.from_factors(*h1(w, v)))
+                shifted = tor_one(in_random_basis(rng, module), w)
+                assert shifted == expected, (name, w.values, lines)
 
 
 def test_tor_hand_values():

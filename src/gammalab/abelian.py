@@ -18,6 +18,7 @@ torsion questions by a single change of basis ``y = V^T x``:
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import IncompatibleInputError
@@ -33,6 +34,32 @@ def format_invariants(rank: int, factors: Sequence[int]) -> str:
         parts.append(f"Z^{rank}")
     parts.extend(f"Z/{d}" for d in factors)
     return " + ".join(parts) if parts else "0"
+
+
+def cyclic_invariants(rank: int, factors: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
+    """Invariants of ``Z^rank + Z/d_1 + Z/d_2 + ...``, by arithmetic alone.
+
+    A factor ``0`` adds a free summand, ``±1`` drops out, and ``-d`` counts
+    as ``d``.  Each remaining order is inserted into a divisor chain from
+    the top down, using ``Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b)``: the lcm
+    stays in place and the gcd moves on, until it is a multiple of the
+    chain entry below it.
+    """
+    chain: List[int] = []
+    for d in factors:
+        d = abs(d)
+        if d == 0:
+            rank += 1
+            continue
+        j = len(chain)
+        while d > 1 and j > 0 and d % chain[j - 1]:
+            g = math.gcd(d, chain[j - 1])
+            chain[j - 1] = chain[j - 1] // g * d
+            d = g
+            j -= 1
+        if d > 1:
+            chain.insert(j, d)
+    return rank, tuple(chain)
 
 
 class AbelianPresentation:
@@ -54,8 +81,14 @@ class AbelianPresentation:
         return cls(n, IntMatrix(0, n))
 
     @classmethod
-    def from_relation_rows(cls, ngens: int, rows: Sequence[Sequence[int]]) -> "AbelianPresentation":
-        return cls(ngens, IntMatrix.from_rows(rows, cols=ngens))
+    def from_relation_rows(cls, ngens: int, rows: Sequence[Sequence[int]],
+                           invariants: Optional[Tuple[int, Tuple[int, ...]]] = None
+                           ) -> "AbelianPresentation":
+        """Presentation with the given relation rows; ``invariants``, when
+        the caller already knows them, are taken as they are."""
+        presentation = cls(ngens, IntMatrix.from_rows(rows, cols=ngens))
+        presentation._invariants = invariants
+        return presentation
 
     @classmethod
     def cyclic(cls, order: int) -> "AbelianPresentation":
@@ -63,19 +96,15 @@ class AbelianPresentation:
 
     @classmethod
     def from_factors(cls, rank: int, factors: Sequence[int]) -> "AbelianPresentation":
-        """``Z^rank`` plus one cyclic summand per factor; factors that already
-        form a divisor chain of entries >= 2 are taken as the invariants."""
+        """``Z^rank`` plus one cyclic summand ``Z/d`` per factor, with the
+        invariants read off the factors by :func:`cyclic_invariants`."""
         n = rank + len(factors)
         rows = []
         for i, d in enumerate(factors):
             row = [0] * n
             row[rank + i] = d
             rows.append(row)
-        presentation = cls(n, IntMatrix.from_rows(rows, cols=n))
-        if all(d >= 2 for d in factors) and all(
-                b % a == 0 for a, b in zip(factors, factors[1:])):
-            presentation._invariants = (rank, tuple(factors))
-        return presentation
+        return cls.from_relation_rows(n, rows, cyclic_invariants(rank, factors))
 
     # -- invariants ---------------------------------------------------
 
@@ -212,11 +241,7 @@ class AbelianPresentation:
         """True iff some homomorphism to Z sends ``x`` to 1 — equivalently the
         free canonical coordinates of ``x`` have gcd 1."""
         free, _ = self.to_canonical(x)
-        g = 0
-        for value in free:
-            if value:
-                g = _gcd(g, value)
-        return g == 1
+        return math.gcd(*free) == 1
 
     def functional_hitting_one(self, x: Sequence[int]) -> Optional[List[int]]:
         """Coefficient row of a hom to Z with value 1 on ``x``, or ``None``.
@@ -247,12 +272,6 @@ class AbelianPresentation:
         top = left.hstack(IntMatrix(left.rows, other.ngens))
         bottom = IntMatrix(right.rows, self.ngens).hstack(right)
         return AbelianPresentation(self.ngens + other.ngens, top.vstack(bottom))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 class AbelianHom:

@@ -199,7 +199,7 @@ def _emit(args, table_lines: List[str], doc: Dict) -> None:
 def cmd_gamma(args) -> int:
     doc_in = load_document(args.presentation)
     pres = parse_presentation(doc_in, origin=args.presentation)
-    value = quadratic_value(pres)
+    value = quadratic_value(pres, budget=_resolve_budget(args))
     lines = [f"Gamma = {value.presentation.describe()}"]
     basis: Optional[List[str]] = None
     if not pres.has_explicit_relations():

@@ -5,7 +5,8 @@ On a free group ``Z^n`` the functor yields a free group of rank
 ``v_i`` plays the role of the square of the i-th generator and ``w_ij`` the
 polarized product of the i-th and j-th.  A presented group is handled by
 presenting the functor value: squares and polarizations of relation vectors
-against everything generate exactly the needed relations.
+against everything generate exactly the needed relations.  Its invariants
+come in closed form from the invariants of the input.
 
 The whole construction is functorial, and a symmetric integer matrix
 corresponds to a unique element here (squares on the diagonal, ``w_ij``
@@ -14,12 +15,15 @@ off it), which is how intersection forms enter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .abelian import AbelianHom, AbelianPresentation
-from .errors import IncompatibleInputError, UnsupportedInputError
+from .abelian import AbelianHom, AbelianPresentation, cyclic_invariants
+from .errors import (BudgetExceededError, IncompatibleInputError,
+                     UnsupportedInputError)
 from .intmat import IntMatrix
+from .resolutions import DEFAULT_BUDGET
 
 
 def gamma_rank(n: int) -> int:
@@ -110,21 +114,55 @@ class QuadraticValue:
         return self.presentation.describe()
 
 
-def quadratic_value(a: AbelianPresentation) -> QuadraticValue:
+def quadratic_value(a: AbelianPresentation,
+                    budget: Optional[int] = DEFAULT_BUDGET) -> QuadraticValue:
     """Present the functor value on a presented abelian group.
 
     Relations: the square of each input relation vector, and its polarization
     against each generator.  These generate the full relation subgroup.
+
+    The invariants are not read off these relations.  By functoriality the
+    value is that of the Smith diagonal ``Z^r + Z/d_1 + ... + Z/d_k`` of the
+    input, whose relations each have one nonzero entry: ``Z/(d_i gcd(d_i, 2))``
+    on ``v_i``, ``Z/gcd(d_i, d_j)`` on ``w_ij`` (``Z/d_i`` against a free
+    generator), and ``Z`` on the ``r(r+1)/2`` squares and products of free
+    generators.
+
+    ``budget`` bounds the size of the presentation, its rank times one more
+    than its relation count; ``None`` removes the bound.
     """
     n = a.ngens
+    rank = gamma_rank(n)
+    nrows = a.relations.rows * (n + 1)
+    cost = rank * (nrows + 1)
+    if budget is not None and cost > budget:
+        raise BudgetExceededError(
+            f"functor value cost {cost} exceeds budget {budget} (input with "
+            f"{n} generators and {a.relations.rows} relations: rank {rank}, "
+            f"{nrows} relation rows); raise the budget or use a smaller "
+            f"presentation")
+    # Row ``i`` of the pairs starts at ``start[i]``: ``w_ij`` sits at
+    # ``start[i] + j``, as in :func:`pair_index`.
+    start = [n + i * n - i * (i + 1) // 2 - i - 1 for i in range(n)]
     rows: List[List[int]] = []
-    units = IntMatrix.identity(n)
-    for r in range(a.relations.rows):
-        rel = a.relations.row(r)
+    for rel in a.relations.data:
         rows.append(expand_square(rel))
+        # The polarization against e_j: 2 rel_j on v_j, rel_k on w_kj.
         for j in range(n):
-            rows.append(polarization(rel, units.column(j)))
-    presentation = AbelianPresentation.from_relation_rows(gamma_rank(n), rows)
+            row = [0] * rank
+            row[j] = 2 * rel[j]
+            for k in range(j):
+                row[start[k] + j] = rel[k]
+            for k in range(j + 1, n):
+                row[start[j] + k] = rel[k]
+            rows.append(row)
+    free, torsion = a.invariant_factors()
+    orders: List[int] = []
+    for i, d in enumerate(torsion):
+        orders.append(d * math.gcd(d, 2))
+        orders += [d] * (len(torsion) - 1 - i + free)
+    presentation = AbelianPresentation.from_relation_rows(
+        rank, rows, invariants=cyclic_invariants(gamma_rank(free), orders))
     return QuadraticValue(n, presentation)
 
 

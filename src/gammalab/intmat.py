@@ -370,13 +370,6 @@ class _Worker:
                 if vj[k]:
                     vi[k] -= q * vj[k]
 
-    def negate_row(self, i: int) -> None:
-        self.a[i] = [-x for x in self.a[i]]
-        if self.u is not None:
-            self.u[i] = [-x for x in self.u[i]]
-            for row in self.uinv:
-                row[i] = -row[i]
-
     def negate_col(self, j: int) -> None:
         for row in self.a:
             row[j] = -row[j]
@@ -384,43 +377,6 @@ class _Worker:
             for row in self.v:
                 row[j] = -row[j]
             self.vinv[j] = [-x for x in self.vinv[j]]
-
-    def combine_rows(self, t: int, i: int, x: int, y: int, a_div: int, b_div: int) -> None:
-        """Unimodular 2-row transform: (row_t, row_i) <- (x*row_t + y*row_i,
-        -b_div*row_t + a_div*row_i), where x*a + y*b = g, a_div = a//g, b_div = b//g."""
-        at, ai = self.a[t], self.a[i]
-        for k in range(self.cols):
-            p, q = at[k], ai[k]
-            at[k] = x * p + y * q
-            ai[k] = -b_div * p + a_div * q
-        if self.u is not None:
-            ut, ui = self.u[t], self.u[i]
-            for k in range(self.rows):
-                p, q = ut[k], ui[k]
-                ut[k] = x * p + y * q
-                ui[k] = -b_div * p + a_div * q
-            # E^-1 = [[a_div, -y], [b_div, x]] acting on columns (t, i)
-            for row in self.uinv:
-                p, q = row[t], row[i]
-                row[t] = a_div * p + b_div * q
-                row[i] = -y * p + x * q
-
-    def combine_cols(self, t: int, j: int, x: int, y: int, a_div: int, b_div: int) -> None:
-        """Unimodular 2-column transform mirroring :meth:`combine_rows`."""
-        for row in self.a:
-            p, q = row[t], row[j]
-            row[t] = x * p + y * q
-            row[j] = -b_div * p + a_div * q
-        if self.v is not None:
-            for row in self.v:
-                p, q = row[t], row[j]
-                row[t] = x * p + y * q
-                row[j] = -b_div * p + a_div * q
-            vt, vj = self.vinv[t], self.vinv[j]
-            for k in range(self.cols):
-                p, q = vt[k], vj[k]
-                vt[k] = a_div * p + b_div * q
-                vj[k] = -y * p + x * q
 
 
 def _find_min_pivot(a, t, rows, cols):
@@ -478,66 +434,22 @@ def _clear_classical(w: _Worker, t: int) -> None:
                 return
 
 
-def _clear_bezout(w: _Worker, t: int) -> None:
-    """Clear row and column ``t`` with extended-gcd two-row/two-column
-    transforms; no quotient/remainder steps, so intermediate entries stay
-    bounded by Bezout combinations of the originals."""
-    pos = _find_first_pivot(w.a, t, w.rows, w.cols)
-    w.swap_rows(t, pos[0])
-    w.swap_cols(t, pos[1])
-    while True:
-        for i in range(t + 1, w.rows):
-            b = w.a[i][t]
-            if b == 0:
-                continue
-            a = w.a[t][t]
-            g, x, y = xgcd(a, b)
-            if b % a == 0:
-                w.add_row(i, t, -(b // a))
-            else:
-                w.combine_rows(t, i, x, y, a // g, b // g)
-        for j in range(t + 1, w.cols):
-            b = w.a[t][j]
-            if b == 0:
-                continue
-            a = w.a[t][t]
-            g, x, y = xgcd(a, b)
-            if b % a == 0:
-                w.add_col(j, t, -(b // a))
-            else:
-                w.combine_cols(t, j, x, y, a // g, b // g)
-        if all(w.a[i][t] == 0 for i in range(t + 1, w.rows)):
-            return
-
-
-def smith_normal_form(m: IntMatrix, strategy: str = "classical",
-                      track_u: bool = True, track_v: bool = True) -> SNFResult:
+def smith_normal_form(m: IntMatrix, track_u: bool = True,
+                      track_v: bool = True) -> SNFResult:
     """Smith normal form with unimodular transforms.
 
-    ``strategy`` selects the pivoting scheme:
-
-    * ``"classical"`` — pick the nonzero entry of minimal absolute value and
-      reduce by repeated division (ties broken by position, so the whole
-      computation is deterministic).
-    * ``"bezout"`` — fraction-free variant: entries are cleared by
-      extended-gcd 2x2 unimodular combinations instead of quotient chains.
-
-    Both strategies produce the identical ``D`` (the normal form is unique);
-    the transforms may differ.  Tracking of ``U`` or ``V`` (and their
-    inverses) can be disabled when only the diagonal is needed.
+    Each step picks the nonzero entry of minimal absolute value and reduces
+    by repeated division (ties broken by position, so the whole computation
+    is deterministic).  Tracking of ``U`` or ``V`` (and their inverses) can
+    be disabled when only the diagonal is needed.
     """
-    if strategy not in ("classical", "bezout"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     w = _Worker(m, track_u, track_v)
     limit = min(w.rows, w.cols)
     t = 0
     while t < limit:
         if _find_first_pivot(w.a, t, w.rows, w.cols) is None:
             break
-        if strategy == "classical":
-            _clear_classical(w, t)
-        else:
-            _clear_bezout(w, t)
+        _clear_classical(w, t)
         # Fold any entry of the trailing block that the pivot does not divide
         # into the pivot's row, then re-clear: this drives the pivot down to
         # the gcd of the whole block, which yields the divisibility chain.
@@ -660,9 +572,9 @@ class SNFSolver:
     normal form.
     """
 
-    def __init__(self, m: IntMatrix, strategy: str = "classical"):
+    def __init__(self, m: IntMatrix):
         self.m = m
-        self.snf = smith_normal_form(m, strategy=strategy)
+        self.snf = smith_normal_form(m)
 
     def solve(self, b: Sequence[int]) -> Optional[List[int]]:
         """Return integer ``x`` with ``M x = b``, or ``None`` if none exists."""

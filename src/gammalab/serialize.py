@@ -51,6 +51,9 @@ def load_document(path: str) -> dict:
             doc = json.load(handle)
     except OSError as exc:
         raise ParseError(f"{path}: cannot read file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 text (byte {exc.start}): "
+                         f"{exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: not valid structured text (line {exc.lineno}, "

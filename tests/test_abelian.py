@@ -87,6 +87,20 @@ def test_from_factors_normalizes_other_inputs():
         == (3, (3,))
 
 
+def test_from_factors_normalizes_random_factor_lists():
+    """Factor lists with 0, ±1, negatives and repeated primes, normalized by
+    arithmetic, against the Smith normal form of the same rows."""
+    rng = random.Random(26)
+    pool = [0, 1, -1, 2, -2, 3, 4, -4, 5, 6, 8, -9, 12, 16, 18, 25, 27, 30, 36]
+    for _ in range(400):
+        rank = rng.randint(0, 2)
+        factors = [rng.choice(pool) for _ in range(rng.randint(0, 7))]
+        a = AbelianPresentation.from_factors(rank, factors)
+        rows = [a.relations.row(i) for i in range(a.relations.rows)]
+        fresh = AbelianPresentation.from_relation_rows(a.ngens, rows)
+        assert a.invariant_factors() == fresh.invariant_factors(), factors
+
+
 def test_canonical_coordinates_fill_the_invariants():
     """The invariants read off by the canonical-coordinate diagonal equal
     those of a fresh presentation that never computed coordinates."""

@@ -69,6 +69,37 @@ def test_gamma_structured_document(tmp_path, capsys):
     assert doc["basis"] is None
 
 
+def test_gamma_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_bytes(b"\xff")
+    code, out, err = run_cli(capsys, ["gamma", str(path)])
+    assert code == 2 and out == ""
+    assert "not valid UTF-8" in err and "Traceback" not in err
+
+
+def test_gamma_budget_refuses_huge_input_first(tmp_path, capsys, monkeypatch):
+    # The free input would list a basis of 5 * 10**59 labels; the budget
+    # must refuse it before anything of that size is built.
+    def no_basis(n):
+        raise AssertionError(f"basis of {n} generators requested")
+
+    monkeypatch.setattr(cli, "basis_labels", no_basis)
+    pres = write_json(tmp_path, "p.json", {"ngens": 10 ** 30})
+    code, out, err = run_cli(capsys, ["gamma", pres])
+    assert code == 1 and out == ""
+    assert f"input with {10 ** 30} generators" in err
+    assert "exceeds budget 250000" in err
+    # GAMMALAB_BUDGET applies to gamma as to the resolution commands: the
+    # Z/2 example costs 1 * (1 * 2 + 1) = 3 units.
+    small = write_json(tmp_path, "s.json", {"ngens": 1, "relations": [[2]]})
+    monkeypatch.setenv("GAMMALAB_BUDGET", "2")
+    code, _, err = run_cli(capsys, ["gamma", small])
+    assert code == 1 and "cost 3 exceeds budget 2" in err
+    monkeypatch.setenv("GAMMALAB_BUDGET", "3")
+    code, out, _ = run_cli(capsys, ["gamma", small])
+    assert code == 0 and out == "Gamma = Z/4\n"
+
+
 # -- coinvariants and tor1 ----------------------------------------------------
 
 

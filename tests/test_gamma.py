@@ -15,6 +15,7 @@ import random
 import pytest
 
 from gammalab.abelian import AbelianHom, AbelianPresentation, tensor_product
+from gammalab.errors import BudgetExceededError
 from gammalab.gamma import (
     basis_labels,
     expand_square,
@@ -354,3 +355,18 @@ def test_value_coefficients_polarize_to_the_matrix():
             e1 = [1 if k == 1 else 0 for k in range(n)]
             cross = sum(g * p for g, p in zip(gamma, polarization(e0, e1)))
             assert cross == s.data[0][1]
+
+
+def test_value_budget_counts_rank_times_relation_rows():
+    # Three generators and two relations: rank 6, 2 * 4 = 8 relation rows,
+    # cost 6 * (8 + 1) = 54.
+    a = AbelianPresentation.from_relation_rows(3, [[2, 0, 0], [0, 4, 2]])
+    assert quadratic_value(a, budget=54).invariant_factors() \
+        == quadratic_value(a, budget=None).invariant_factors()
+    with pytest.raises(BudgetExceededError, match="rank 6, 8 relation rows"):
+        quadratic_value(a, budget=53)
+    # A free input costs its rank.
+    assert quadratic_value(AbelianPresentation.free(4), budget=10).describe() \
+        == "Z^10"
+    with pytest.raises(BudgetExceededError):
+        quadratic_value(AbelianPresentation.free(4), budget=9)

@@ -163,23 +163,6 @@ def test_snf_random_contract_500_cases():
         assert_snf_contract(m, result)
 
 
-def test_snf_strategies_agree_on_diagonal():
-    rng = random.Random(101)
-    for _ in range(250):
-        rows = rng.randint(0, 8)
-        cols = rng.randint(0, 8)
-        m = random_matrix(rng, rows, cols, -30, 30)
-        classical = smith_normal_form(m, strategy="classical")
-        bezout = smith_normal_form(m, strategy="bezout")
-        assert classical.diagonal == bezout.diagonal
-        assert_snf_contract(m, bezout)
-
-
-def test_snf_rejects_unknown_strategy():
-    with pytest.raises(ValueError):
-        smith_normal_form(IntMatrix.identity(2), strategy="modular")
-
-
 def test_snf_diagonal_product_matches_det():
     # For square matrices |det| equals the product of the invariant factors.
     rng = random.Random(102)

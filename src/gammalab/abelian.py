@@ -106,6 +106,30 @@ class AbelianPresentation:
             rows.append(row)
         return cls.from_relation_rows(n, rows, cyclic_invariants(rank, factors))
 
+    @classmethod
+    def from_diagonal(cls, orders: Sequence[int]) -> "AbelianPresentation":
+        """``Z/d`` on generator ``i`` for ``d = orders[i]``, ``Z`` for ``0``.
+
+        The nonzero orders, in generator order, must form a divisor chain of
+        entries ``>= 2``.  The generators are then the canonical coordinates,
+        so invariants and coordinates are filled without a Smith normal form.
+        """
+        n = len(orders)
+        torsion = [d for d in orders if d]
+        if any(d < 2 for d in torsion) or any(
+                b % a for a, b in zip(torsion, torsion[1:])):
+            raise ValueError(f"orders {list(orders)} are not 0 or a divisor chain")
+        rows = [[d if j == i else 0 for j in range(n)]
+                for i, d in enumerate(orders) if d]
+        presentation = cls.from_relation_rows(n, rows)
+        free_idx = [i for i, d in enumerate(orders) if not d]
+        torsion_idx = [i for i, d in enumerate(orders) if d]
+        identity = IntMatrix.identity(n)
+        presentation._canonical = (identity, identity, free_idx, torsion_idx,
+                                   torsion)
+        presentation._invariants = (len(free_idx), tuple(torsion))
+        return presentation
+
     # -- invariants ---------------------------------------------------
 
     def invariant_factors(self) -> Tuple[int, Tuple[int, ...]]:
@@ -322,10 +346,6 @@ class AbelianHom:
         diff = self.matrix.sub(other.matrix)
         return all(self.target.element_is_zero(diff.column(j))
                    for j in range(diff.cols))
-
-    def is_zero_map(self) -> bool:
-        return all(self.target.element_is_zero(self.matrix.column(j))
-                   for j in range(self.matrix.cols))
 
     def cokernel(self) -> AbelianPresentation:
         """The target modulo the image of this map."""

@@ -23,7 +23,8 @@ from .groups import (FiniteGroup, GroupRingElement, OrientationChar,
                      bar_involution, central_involutions)
 from .homology import group_homology
 from .intmat import IntMatrix, det, integer_inverse
-from .modules import (ZPiModule, free_module, norm_quotient_module, tor_one,
+from .modules import (CoinvariantsResult, ZPiModule, check_coinvariants_budget,
+                      free_module, norm_quotient_module, tor_one,
                       twisted_coinvariants)
 from .resolutions import DEFAULT_BUDGET, Resolution
 
@@ -286,9 +287,18 @@ def kappa_splitting(group: FiniteGroup, w: OrientationChar, pi2: ZPiModule,
     modulo torsion (absence is a value, not an error)."""
     _check_form_module_pair(group, w, pi2, form)
     gamma_coords = lambda_to_gamma(form)
-    coinv = twisted_coinvariants(quadratic_module(pi2), w)
+    coinv = gamma_coinvariants(pi2, w)
     cls = coinv.projection.apply(gamma_coords)
     return coinv.presentation.functional_hitting_one(cls)
+
+
+def gamma_coinvariants(pi2: ZPiModule, w: OrientationChar,
+                       budget: Optional[int] = DEFAULT_BUDGET) -> CoinvariantsResult:
+    """Twisted coinvariants of the functor value of ``pi2``, refused before
+    the value is built when their work estimate exceeds ``budget``."""
+    check_coinvariants_budget(pi2.group, gamma_rank(pi2.underlying.ngens), 0,
+                              pi2.table is not None, budget)
+    return twisted_coinvariants(quadratic_module(pi2), w, budget)
 
 
 @dataclass
@@ -388,7 +398,7 @@ def obstruction_torsion(group: FiniteGroup, w: OrientationChar,
     its order counts polarized homotopy types with a fixed pairing."""
     if pi2.group is not group:
         raise IncompatibleInputError("module belongs to a different group")
-    coinv = twisted_coinvariants(quadratic_module(pi2), w).presentation
+    coinv = gamma_coinvariants(pi2, w).presentation
     torsion, _ = coinv.torsion_part()
     return torsion
 
@@ -426,7 +436,7 @@ def h4_twotype_split(group: FiniteGroup, w: OrientationChar, pi2: ZPiModule,
     if pi2.zpi_free_rank is None:
         raise UnsupportedInputError(
             "the split formula needs a free module (trivial k-invariant)")
-    coinv = twisted_coinvariants(quadratic_module(pi2), w).presentation
+    coinv = gamma_coinvariants(pi2, w).presentation
     h4 = group_homology(group, w, 4, provider=provider, budget=budget,
                         resolution=resolution)
     return TwoTypeHomologySplit(total=coinv.direct_sum(h4),
@@ -440,9 +450,10 @@ class CensusReport:
 
     ``count`` is the order of the obstruction torsion group — the number of
     polarized homotopy types sharing the pairing.  ``lambda_class`` gives
-    the coordinates of the form's class in the coinvariants presentation
-    (``None`` when no form was supplied), with its primitivity status and
-    splitting functional.  The report also records whether the torsion
+    the form's element of the functor value in its basis, which names its
+    class in the coinvariants (``None`` when no form was supplied), with its
+    primitivity status and splitting functional, a row over the same basis
+    that kills every twist relation.  The report also records whether the torsion
     matches the elementary-abelian prediction from the involution count and
     the two exactness facts about the norm quotient: its twisted
     coinvariants are cyclic of the group order and its first derived
@@ -489,20 +500,24 @@ def norm_quotient_facts(group: FiniteGroup,
         tor_trivial=tor.invariant_factors() == (0, ()))
 
 
-def census(q: QuadraticTwoType) -> CensusReport:
+def census(q: QuadraticTwoType,
+           budget: Optional[int] = DEFAULT_BUDGET) -> CensusReport:
     """Full counting report for a two-type: coinvariants and their torsion,
     the count, the form's class with primitivity and splitting data, the
-    involution-count cross-check, and the norm-quotient exactness facts."""
+    involution-count cross-check, and the norm-quotient exactness facts.
+    ``budget`` bounds the coinvariants as in :func:`gamma_coinvariants`."""
     if not check_hermitian(q.form):
         raise IncompatibleInputError(
             "the form matrix is not hermitian for the twisted involution")
     group, w = q.group, q.w
-    coinv = twisted_coinvariants(quadratic_module(q.pi2), w)
+    coinv = gamma_coinvariants(q.pi2, w, budget)
     torsion, _ = coinv.presentation.torsion_part()
     # lambda_to_gamma without its second hermitian check.
     gamma_coords = value_of_symmetric_matrix(underlying_symmetric_matrix(q.form))
     cls = coinv.projection.apply(gamma_coords)
     functional = coinv.presentation.functional_hitting_one(cls)
+    if functional is not None:
+        functional = coinv.projection.matrix.vec_mat(functional)
     r = involution_rank_formula(group, w)
     k = q.pi2.zpi_free_rank
     matches = (torsion.invariant_factors() == (0, (2,) * (r * k)))
@@ -518,21 +533,21 @@ def census(q: QuadraticTwoType) -> CensusReport:
         norm_quotient_coinvariants=facts.coinvariants,
         norm_quotient_is_cyclic_of_group_order=facts.cyclic_of_group_order,
         norm_quotient_tor_trivial=facts.tor_trivial,
-        lambda_class=cls,
+        lambda_class=gamma_coords,
         lambda_primitive=coinv.presentation.is_primitive_mod_torsion(cls),
         kappa_functional=functional,
         form_matrix=[row[:] for row in q.form.matrix],
     )
 
 
-def module_census(group: FiniteGroup, w: OrientationChar,
-                  pi2: ZPiModule) -> CensusReport:
+def module_census(group: FiniteGroup, w: OrientationChar, pi2: ZPiModule,
+                  budget: Optional[int] = DEFAULT_BUDGET) -> CensusReport:
     """Counting report for a module without a chosen pairing; form-dependent
     fields stay empty and the involution-count cross-check applies only when
     the module is free over the group ring."""
     if pi2.group is not group:
         raise IncompatibleInputError("module belongs to a different group")
-    coinv = twisted_coinvariants(quadratic_module(pi2), w)
+    coinv = gamma_coinvariants(pi2, w, budget)
     torsion, _ = coinv.presentation.torsion_part()
     r = involution_rank_formula(group, w)
     k = pi2.zpi_free_rank

@@ -222,7 +222,7 @@ def _load_module_for(args, group):
 def cmd_coinvariants(args) -> int:
     group, w = _load_group_and_character(args)
     module = _load_module_for(args, group)
-    result = twisted_coinvariants(module, w)
+    result = twisted_coinvariants(module, w, budget=_resolve_budget(args))
     torsion, _ = result.presentation.torsion_part()
     lines = [
         f"coinvariants = {result.presentation.describe()}",
@@ -349,9 +349,9 @@ def cmd_census(args) -> int:
                 "a form needs a module free over the group ring; run "
                 "without --form for a module-only report")
         q = QuadraticTwoType(group, w, module, form)
-        report = census(q)
+        report = census(q, budget=_resolve_budget(args))
     else:
-        report = module_census(group, w, module)
+        report = module_census(group, w, module, budget=_resolve_budget(args))
     _emit(args, _census_table(report), _census_doc(report))
     return 0
 

@@ -78,6 +78,12 @@ def polarization(x: Sequence[int], y: Sequence[int]) -> List[int]:
     return out
 
 
+def _pair_starts(n: int) -> List[int]:
+    """Row ``i`` of the pairs starts at ``start[i]``: ``w_ij`` sits at
+    ``start[i] + j``, as in :func:`pair_index`."""
+    return [n + i * n - i * (i + 1) // 2 - i - 1 for i in range(n)]
+
+
 def induced_matrix(f: IntMatrix) -> IntMatrix:
     """Matrix of the induced map on functor values, for ``f: Z^n -> Z^m``.
 
@@ -141,9 +147,7 @@ def quadratic_value(a: AbelianPresentation,
             f"{n} generators and {a.relations.rows} relations: rank {rank}, "
             f"{nrows} relation rows); raise the budget or use a smaller "
             f"presentation")
-    # Row ``i`` of the pairs starts at ``start[i]``: ``w_ij`` sits at
-    # ``start[i] + j``, as in :func:`pair_index`.
-    start = [n + i * n - i * (i + 1) // 2 - i - 1 for i in range(n)]
+    start = _pair_starts(n)
     rows: List[List[int]] = []
     for rel in a.relations.data:
         rows.append(expand_square(rel))
@@ -233,10 +237,16 @@ def split_indices(n_first: int, n_second: int) -> Tuple[List[int], List[int], Li
 
 def quadratic_module(module):
     """Apply the functor to a module over a group ring: same group, induced
-    action matrices, free underlying group.
+    action, free underlying group.
 
     Requires the underlying abelian group to be free (no relation rows),
-    which covers every module this library constructs.
+    which covers every module this library constructs.  The value of a
+    signed-permutation module is one too, since the functor sends ``e.x`` to
+    ``e^2`` times the square of ``x``: ``g`` sends ``v_x`` to ``v_gx`` and
+    ``w_xy`` to ``e_x.e_y.w_(gx)(gy)``.  Its table is built directly, so
+    the twisted coinvariants take the orbit route; the module check then
+    composes tables.  Any other module gets induced matrices and the
+    relation-row route.
     """
     from .modules import ZPiModule
 
@@ -244,9 +254,20 @@ def quadratic_module(module):
         raise UnsupportedInputError(
             "functor value with a group action is only computed over a free "
             "underlying group; this module carries nontrivial relations")
-    action = [induced_matrix(module.action_matrix(g))
-              for g in range(module.group.order)]
     n = module.underlying.ngens
-    return ZPiModule(module.group,
-                     AbelianPresentation.free(gamma_rank(n)),
-                     action)
+    value = AbelianPresentation.free(gamma_rank(n))
+    if module.table is None:
+        action = [induced_matrix(module.action_matrix(g))
+                  for g in range(module.group.order)]
+        return ZPiModule(module.group, value, action)
+    start = _pair_starts(n)
+    table = []
+    for images, signs in module.table:
+        pairs, pair_signs = [], []
+        for i in range(n):
+            for j in range(i + 1, n):
+                a, b = images[i], images[j]
+                pairs.append(start[a] + b if a < b else start[b] + a)
+                pair_signs.append(signs[i] * signs[j])
+        table.append((images + pairs, [1] * n + pair_signs))
+    return ZPiModule(module.group, value, table=table)

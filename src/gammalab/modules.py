@@ -1,9 +1,10 @@
 """Finitely generated modules over an integral group ring.
 
-A module is an abelian presentation plus one integer matrix per group
-element, acting on generator columns.  Validation only needs the action of a
-generating set against everything: the identity axiom plus those products
-pin down every other matrix.
+A module is an abelian presentation plus the action of each group element on
+generator columns: one integer matrix each, or, for a signed-permutation
+module, a table of where each basis vector goes and with which sign.
+Validation only needs the action of a generating set against everything:
+the identity axiom plus those products pin down every other element.
 
 The main computations: sign-twisted coinvariants (the quotient by
 ``g.m - w(g).m``), the first derived functor of that quotient, restriction
@@ -17,28 +18,41 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .abelian import AbelianHom, AbelianPresentation
-from .errors import IncompatibleInputError
+from .errors import BudgetExceededError, IncompatibleInputError
 from .groups import FiniteGroup, OrientationChar, SubgroupData
 from .intmat import (IntMatrix, SNFSolver, elementary_divisors, kernel_basis,
                      preimage_lattice, sparse_columns)
+from .resolutions import DEFAULT_BUDGET
+
+# ``table[g] = (images, signs)``: element ``g`` sends basis vector ``i`` to
+# ``signs[i]`` times basis vector ``images[i]``.
+SignedTable = List[Tuple[List[int], List[int]]]
 
 
 class ZPiModule:
-    """A module over the integral group ring of a finite group."""
+    """A module over the integral group ring of a finite group.
+
+    The action comes as dense matrices, as a signed-permutation ``table``,
+    or both.  A module with only a table builds its matrices on first use
+    of :attr:`action`.
+    """
 
     def __init__(self, group: FiniteGroup, underlying: AbelianPresentation,
-                 action: Sequence[IntMatrix],
-                 zpi_free_rank: Optional[int] = None, check: bool = True):
+                 action: Optional[Sequence[IntMatrix]] = None,
+                 zpi_free_rank: Optional[int] = None, check: bool = True,
+                 table: Optional[SignedTable] = None):
         self.group = group
         self.underlying = underlying
-        self.action = list(action)
+        self._action = None if action is None else list(action)
+        self.table = table
         self.zpi_free_rank = zpi_free_rank
-        if len(self.action) != group.order:
+        given = self._action if table is None else table
+        if len(given) != group.order:
             raise IncompatibleInputError(
-                f"{len(self.action)} action matrices for a group of order "
+                f"{len(given)} action matrices for a group of order "
                 f"{group.order}")
         n = underlying.ngens
-        for g, mat in enumerate(self.action):
+        for g, mat in enumerate(self._action or ()):
             if mat.shape != (n, n):
                 raise IncompatibleInputError(
                     f"action matrix for element {g} has shape {mat.shape}, "
@@ -48,58 +62,94 @@ class ZPiModule:
 
     def _validate(self) -> None:
         n = self.underlying.ngens
-        if self.action[0] != IntMatrix.identity(n):
+        if self.table is None:
+            identity = self.action[0] == IntMatrix.identity(n)
+        else:
+            identity = tuple(self.table[0]) == (list(range(n)), [1] * n)
+        if not identity:
             raise IncompatibleInputError(
                 "action of the identity element is not the identity matrix")
         gens = self.group.generating_set()
         for s in gens:
             for r in range(self.underlying.relations.rows):
-                image = self.action[s].mat_vec(self.underlying.relations.row(r))
+                image = self.act(s, self.underlying.relations.row(r))
                 if not self.underlying.contains_in_relation_lattice(image):
                     raise IncompatibleInputError(
                         f"action of element {s} does not preserve relation {r}")
         for s in gens:
             for h in range(self.group.order):
-                if self.action[s].mul(self.action[h]) != self.action[self.group.table[s][h]]:
+                sh = self.group.table[s][h]
+                if self.table is None:
+                    ok = self.action[s].mul(self.action[h]) == self.action[sh]
+                else:
+                    (si, ss), (hi, hs) = self.table[s], self.table[h]
+                    ok = ([si[j] for j in hi], [ss[j] * e for j, e in zip(hi, hs)]
+                          ) == tuple(self.table[sh])
+                if not ok:
                     raise IncompatibleInputError(
                         f"action is not multiplicative at ({s}, {h})")
+
+    @property
+    def action(self) -> List[IntMatrix]:
+        if self._action is None:
+            n = self.underlying.ngens
+            self._action = []
+            for images, signs in self.table:
+                mat = IntMatrix.zeros(n, n)
+                for i, (j, e) in enumerate(zip(images, signs)):
+                    mat.data[j][i] = e
+                self._action.append(mat)
+        return self._action
 
     def action_matrix(self, g: int) -> IntMatrix:
         return self.action[g]
 
     def act(self, g: int, x: Sequence[int]) -> List[int]:
-        return self.action[g].mat_vec(x)
+        if self.table is None:
+            return self.action[g].mat_vec(x)
+        out = [0] * len(x)
+        for j, e, c in zip(*self.table[g], x):
+            out[j] += e * c
+        return out
 
     def act_ring(self, x, vec: Sequence[int]) -> List[int]:
         """Act by a group ring element (its coefficient vector)."""
         out = [0] * self.underlying.ngens
         for g, c in enumerate(x.coeffs):
             if c:
-                img = self.action[g].mat_vec(vec)
+                img = self.act(g, vec)
                 out = [a + c * b for a, b in zip(out, img)]
         return out
-
-    def is_free(self) -> bool:
-        return self.zpi_free_rank is not None
 
     def __repr__(self) -> str:
         return (f"ZPiModule(order={self.group.order}, "
                 f"ngens={self.underlying.ngens})")
 
 
+def signed_permutation_table(action: Sequence[IntMatrix]) -> Optional[SignedTable]:
+    """The table of action matrices whose every column has a single entry,
+    ``1`` or ``-1``; ``None`` for any other action."""
+    table = []
+    for mat in action:
+        images, signs = [], []
+        for j in range(mat.cols):
+            entries = [(i, row[j]) for i, row in enumerate(mat.data) if row[j]]
+            if len(entries) != 1 or entries[0][1] not in (1, -1):
+                return None
+            images.append(entries[0][0])
+            signs.append(entries[0][1])
+        table.append((images, signs))
+    return table
+
+
 def free_module(group: FiniteGroup, rank: int) -> ZPiModule:
     """The free module of the given rank; underlying generator ``(i, g)``
     sits at index ``i * order + g`` and carries the left translation action."""
     n = group.order
-    action = []
-    for h in range(n):
-        mat = IntMatrix.zeros(rank * n, rank * n)
-        for i in range(rank):
-            for g in range(n):
-                mat.data[i * n + group.table[h][g]][i * n + g] = 1
-        action.append(mat)
-    return ZPiModule(group, AbelianPresentation.free(rank * n), action,
-                     zpi_free_rank=rank, check=False)
+    table = [([i * n + hg for i in range(rank) for hg in row], [1] * (rank * n))
+             for row in group.table]
+    return ZPiModule(group, AbelianPresentation.free(rank * n),
+                     zpi_free_rank=rank, check=False, table=table)
 
 
 def regular_module(group: FiniteGroup) -> ZPiModule:
@@ -107,14 +157,14 @@ def regular_module(group: FiniteGroup) -> ZPiModule:
 
 
 def trivial_module(group: FiniteGroup, rank: int = 1) -> ZPiModule:
-    action = [IntMatrix.identity(rank) for _ in range(group.order)]
-    return ZPiModule(group, AbelianPresentation.free(rank), action, check=False)
+    return sign_module(group, OrientationChar.trivial(group), rank)
 
 
 def sign_module(group: FiniteGroup, w: OrientationChar, rank: int = 1) -> ZPiModule:
     """Free abelian of the given rank with each element acting by its sign."""
-    action = [IntMatrix.identity(rank).scale(w(g)) for g in range(group.order)]
-    return ZPiModule(group, AbelianPresentation.free(rank), action, check=False)
+    table = [(list(range(rank)), [w(g)] * rank) for g in range(group.order)]
+    return ZPiModule(group, AbelianPresentation.free(rank), check=False,
+                     table=table)
 
 
 def norm_quotient_module(group: FiniteGroup, w: OrientationChar) -> ZPiModule:
@@ -123,16 +173,10 @@ def norm_quotient_module(group: FiniteGroup, w: OrientationChar) -> ZPiModule:
     The ideal is infinite cyclic (left multiplication only flips the norm's
     sign), so one relation row suffices.
     """
-    n = group.order
-    norm_row = [w(g) for g in range(n)]
-    underlying = AbelianPresentation.from_relation_rows(n, [norm_row])
-    action = []
-    for h in range(n):
-        mat = IntMatrix.zeros(n, n)
-        for g in range(n):
-            mat.data[group.table[h][g]][g] = 1
-        action.append(mat)
-    return ZPiModule(group, underlying, action, check=False)
+    norm_row = [w(g) for g in range(group.order)]
+    underlying = AbelianPresentation.from_relation_rows(group.order, [norm_row])
+    table = [(list(row), [1] * group.order) for row in group.table]
+    return ZPiModule(group, underlying, check=False, table=table)
 
 
 def direct_sum_module(a: ZPiModule, b: ZPiModule) -> ZPiModule:
@@ -140,25 +184,25 @@ def direct_sum_module(a: ZPiModule, b: ZPiModule) -> ZPiModule:
         raise IncompatibleInputError("direct sum of modules over different groups")
     underlying = a.underlying.direct_sum(b.underlying)
     na, nb = a.underlying.ngens, b.underlying.ngens
-    action = []
-    for g in range(a.group.order):
-        mat = IntMatrix.zeros(na + nb, na + nb)
-        for i in range(na):
-            for j in range(na):
-                mat.data[i][j] = a.action[g].data[i][j]
-        for i in range(nb):
-            for j in range(nb):
-                mat.data[na + i][na + j] = b.action[g].data[i][j]
-        action.append(mat)
     rank = None
     if a.zpi_free_rank is not None and b.zpi_free_rank is not None:
         rank = a.zpi_free_rank + b.zpi_free_rank
+    if a.table is not None and b.table is not None:
+        table = [(ia + [na + j for j in ib], sa + sb)
+                 for (ia, sa), (ib, sb) in zip(a.table, b.table)]
+        return ZPiModule(a.group, underlying, zpi_free_rank=rank, check=False,
+                         table=table)
+    action = [ma.hstack(IntMatrix(na, nb)).vstack(IntMatrix(nb, na).hstack(mb))
+              for ma, mb in zip(a.action, b.action)]
     return ZPiModule(a.group, underlying, action, zpi_free_rank=rank, check=False)
 
 
 def module_from_action(group: FiniteGroup, underlying: AbelianPresentation,
                        action: Sequence[IntMatrix], check: bool = True) -> ZPiModule:
-    module = ZPiModule(group, underlying, action, check=check)
+    """A module from its action matrices, with the signed-permutation table
+    when the matrices have one."""
+    module = ZPiModule(group, underlying, action, check=check,
+                       table=signed_permutation_table(action))
     module.zpi_free_rank = detect_free_structure(module)
     return module
 
@@ -177,11 +221,8 @@ def detect_free_structure(module: ZPiModule) -> Optional[int]:
     if n % order != 0:
         return None
     rank = n // order
-    reference = free_module(module.group, rank)
-    for g in range(order):
-        if module.action[g] != reference.action[g]:
-            return None
-    return rank
+    table = module.table or signed_permutation_table(module.action)
+    return rank if table == free_module(module.group, rank).table else None
 
 
 @dataclass
@@ -198,29 +239,36 @@ class CoinvariantsResult:
     section: IntMatrix
 
 
-def twisted_coinvariants(module: ZPiModule, w: OrientationChar) -> CoinvariantsResult:
+def twisted_coinvariants(module: ZPiModule, w: OrientationChar,
+                         budget: Optional[int] = DEFAULT_BUDGET) -> CoinvariantsResult:
     """The quotient of the module by all ``g.m - w(g).m``.
 
-    Twist relations are added for a generating set only; products and
-    inverses of twists stay in the same lattice, so nothing is lost.  Free
-    modules collapse to one copy of the integers per module generator, with
-    the class of ``(i, g)`` equal to ``w(g)`` times the i-th unit.
+    A module without relations that carries a signed-permutation table is
+    read off the orbits of its basis vectors, with no Smith normal form:
+    take one generator per orbit, its first basis vector ``x``.  When some
+    ``s`` fixes ``x`` with ``s.x = e.x`` and ``e != w(s)``, the twist
+    relation ``(e - w(s)).x`` makes it ``Z/2``; otherwise it is ``Z``.  The
+    basis vector ``y = e.g.x`` projects to ``e.w(g)`` times its generator,
+    and the section picks the first vectors.  Free modules give one copy of
+    the integers per module generator, ``(i, g)`` going to ``w(g)`` times
+    the i-th unit.
+
+    Every other module takes the relation-row route: its relations plus the
+    twist relations of a generating set (products and inverses of twists
+    stay in the same lattice, so nothing is lost), with the identity as
+    projection and section.
+
+    ``budget`` bounds the work estimate of :func:`check_coinvariants_budget`
+    before anything is built; ``None`` removes the bound.
     """
     _check_same_group(module, w)
+    signed = (module.table is not None
+              and not module.underlying.has_explicit_relations())
+    check_coinvariants_budget(module.group, module.underlying.ngens,
+                              module.underlying.relations.rows, signed, budget)
+    if signed:
+        return _coinvariants_by_orbits(module, w)
     n = module.underlying.ngens
-    if module.zpi_free_rank is not None:
-        k = module.zpi_free_rank
-        order = module.group.order
-        proj = IntMatrix.zeros(k, n)
-        for i in range(k):
-            for g in range(order):
-                proj.data[i][i * order + g] = w(g)
-        section = IntMatrix.zeros(n, k)
-        for i in range(k):
-            section.data[i * order][i] = 1
-        presentation = AbelianPresentation.free(k)
-        projection = AbelianHom(module.underlying, presentation, proj, check=False)
-        return CoinvariantsResult(presentation, projection, section)
     rows = [list(module.underlying.relations.row(r))
             for r in range(module.underlying.relations.rows)]
     for s in module.group.generating_set():
@@ -232,6 +280,57 @@ def twisted_coinvariants(module: ZPiModule, w: OrientationChar) -> CoinvariantsR
     projection = AbelianHom(module.underlying, presentation,
                             IntMatrix.identity(n), check=False)
     return CoinvariantsResult(presentation, projection, IntMatrix.identity(n))
+
+
+def check_coinvariants_budget(group: FiniteGroup, ngens: int,
+                              relation_rows: int, signed: bool,
+                              budget: Optional[int]) -> None:
+    """Refuse coinvariants whose work estimate exceeds ``budget``: basis
+    size times group order on the orbit route (``signed``), relation rows
+    times columns on the relation-row route."""
+    if signed:
+        cost = ngens * group.order
+        sizes = f"{ngens} basis vectors times group order {group.order}"
+    else:
+        rows = relation_rows + len(group.generating_set()) * ngens
+        cost = rows * ngens
+        sizes = f"{rows} relation rows times {ngens} columns"
+    if budget is not None and cost > budget:
+        raise BudgetExceededError(
+            f"twisted coinvariants cost {cost} ({sizes}) exceeds budget "
+            f"{budget}; raise the budget or use a smaller module")
+
+
+def _coinvariants_by_orbits(module: ZPiModule,
+                            w: OrientationChar) -> CoinvariantsResult:
+    n = module.underlying.ngens
+    orbit = [-1] * n
+    sign = [0] * n
+    firsts: List[int] = []
+    orders: List[int] = []
+    for x in range(n):
+        if orbit[x] >= 0:
+            continue
+        orbit[x], sign[x] = len(firsts), 1
+        order = 0
+        for (images, signs), wg in zip(module.table, w.values):
+            y, e = images[x], signs[x] * wg
+            if orbit[y] < 0:
+                orbit[y], sign[y] = len(firsts), e
+            elif y == x and e != 1:
+                order = 2
+        firsts.append(x)
+        orders.append(order)
+    k = len(firsts)
+    proj = IntMatrix.zeros(k, n)
+    for y in range(n):
+        proj.data[orbit[y]][y] = sign[y]
+    section = IntMatrix.zeros(n, k)
+    for j, x in enumerate(firsts):
+        section.data[x][j] = 1
+    presentation = AbelianPresentation.from_diagonal(orders)
+    projection = AbelianHom(module.underlying, presentation, proj, check=False)
+    return CoinvariantsResult(presentation, projection, section)
 
 
 def _check_same_group(module: ZPiModule, w: OrientationChar) -> None:
@@ -345,6 +444,9 @@ def restrict_module(module: ZPiModule, sub: SubgroupData) -> ZPiModule:
     """The same underlying group acted on by a subgroup only."""
     if sub.ambient is not module.group:
         raise IncompatibleInputError("subgroup data belongs to a different group")
+    if module.table is not None:
+        return ZPiModule(sub.subgroup, module.underlying, check=False,
+                         table=[module.table[g] for g in sub.elements])
     action = [module.action[g] for g in sub.elements]
     return ZPiModule(sub.subgroup, module.underlying, action, check=False)
 
@@ -376,8 +478,11 @@ def transfer_down(module: ZPiModule, w: OrientationChar,
     coinv_sub = twisted_coinvariants(restricted, w_sub)
     coinv_full = twisted_coinvariants(module, w)
     n = module.underlying.ngens
-    total = IntMatrix.zeros(n, n)
-    for g in sub.representatives:
-        total = total.add(module.action[g].scale(w(g)))
-    matrix = coinv_sub.projection.matrix.mul(total).mul(coinv_full.section)
+    columns = []
+    for x in coinv_full.section.columns():
+        total = [0] * n
+        for g in sub.representatives:
+            total = [t + w(g) * v for t, v in zip(total, module.act(g, x))]
+        columns.append(coinv_sub.projection.apply(total))
+    matrix = IntMatrix.from_columns(columns, rows=coinv_sub.presentation.ngens)
     return AbelianHom(coinv_full.presentation, coinv_sub.presentation, matrix)

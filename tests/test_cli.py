@@ -238,6 +238,57 @@ def test_orbit_command_structured(capsys):
                              {"representative": [1], "size": 2}]
 
 
+def test_coinvariants_budget_counts_each_route(tmp_path, capsys, monkeypatch):
+    # Orbit route: 2 basis vectors times group order 2.
+    argv = ["coinvariants", "--group", "z2", "--module", "z2_regular"]
+    monkeypatch.setenv("GAMMALAB_BUDGET", "3")
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert "cost 4 (2 basis vectors times group order 2) exceeds budget 3" in err
+    monkeypatch.setenv("GAMMALAB_BUDGET", "4")
+    assert run_cli(capsys, argv)[0] == 0
+    # Relation-row route: [[1, 0], [1, -1]] is not a signed permutation;
+    # the one group generator gives 2 twist rows of 2 columns.
+    module = write_json(tmp_path, "m.json", {
+        "ngens": 2, "action": {"0": [[1, 0], [0, 1]], "1": [[1, 0], [1, -1]]}})
+    argv = ["coinvariants", "--group", "z2", "--module", module]
+    monkeypatch.setenv("GAMMALAB_BUDGET", "3")
+    code, _, err = run_cli(capsys, argv)
+    assert code == 1 and "cost 4 (2 relation rows times 2 columns)" in err
+    monkeypatch.setenv("GAMMALAB_BUDGET", "4")
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out.splitlines()[0] == "coinvariants = Z"
+
+
+def test_census_budget_counts_the_functor_value(capsys, monkeypatch):
+    # The functor value of the regular module over Z/2 has 3 basis vectors.
+    argv = ["census", "--group", "z2", "--character", "w",
+            "--module", "z2_regular", "--form", "rp4cp2"]
+    monkeypatch.setenv("GAMMALAB_BUDGET", "5")
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert "cost 6 (3 basis vectors times group order 2) exceeds budget 5" in err
+    monkeypatch.setenv("GAMMALAB_BUDGET", "6")
+    assert run_cli(capsys, argv)[0] == 0
+    assert run_cli(capsys, argv[:-2])[0] == 0
+    monkeypatch.setenv("GAMMALAB_BUDGET", "5")
+    assert run_cli(capsys, argv[:-2])[0] == 1
+
+
+def test_non_multiplicative_signed_permutation_is_an_input_error(tmp_path,
+                                                                 capsys):
+    # Both non-identity elements of Z/3 swap the basis: swap . swap is the
+    # identity, not the swap that the product of element 1 with itself needs.
+    swap = [[0, 1], [1, 0]]
+    module = write_json(tmp_path, "m.json", {
+        "ngens": 2, "action": {"0": [[1, 0], [0, 1]], "1": swap, "2": swap}})
+    for command in ("coinvariants", "census"):
+        code, out, err = run_cli(capsys, [command, "--group", "z3",
+                                          "--module", module])
+        assert code == 2 and out == ""
+        assert "not multiplicative" in err and "Traceback" not in err
+
+
 # -- census -------------------------------------------------------------------
 
 

@@ -126,38 +126,16 @@ class HermitianForm:
         return f"HermitianForm(rank={self.rank}, |G|={self.group.order})"
 
 
-def check_hermitian(form: HermitianForm, spot_checks: int = 20) -> bool:
-    """Whether the matrix satisfies ``entry(i, j) == bar(entry(j, i))``.
+def check_hermitian(form: HermitianForm) -> bool:
+    """Whether ``entry(i, j) == bar(entry(j, i))`` for all ``i`` and ``j``.
 
-    Also exercises the two-sided linearity law ``value(h1 a, h2 b) =
-    h1 * value(a, b) * bar(h2)`` on deterministic pseudo-random ring
-    elements, so a broken evaluation surfaces here rather than downstream.
+    Only this exact, entrywise test reads the input.  The law ``value(h1 a,
+    h2 b) = h1 * value(a, b) * bar(h2)`` holds for every matrix over a
+    validated group and character, so the test suite covers it instead.
     """
     group, w = form.group, form.w
-    for i in range(form.rank):
-        for j in range(form.rank):
-            if form.matrix[i][j] != bar_involution(group, w,
-                                                   form.matrix[j][i]):
-                return False
-    if form.rank == 0:
-        return True
-    rng = random.Random(97)
-    for _ in range(spot_checks):
-        alpha = [_random_ring_element(rng, group) for _ in range(form.rank)]
-        beta = [_random_ring_element(rng, group) for _ in range(form.rank)]
-        h1 = GroupRingElement.from_element(group, rng.randrange(group.order))
-        h2 = GroupRingElement.from_element(group, rng.randrange(group.order))
-        left = form.evaluate([h1 * a for a in alpha], [h2 * b for b in beta])
-        right = h1 * form.evaluate(alpha, beta) * bar_involution(group, w, h2)
-        if left != right:
-            return False
-    return True
-
-
-def _random_ring_element(rng: random.Random, group: FiniteGroup,
-                         bound: int = 3) -> GroupRingElement:
-    return GroupRingElement(
-        group, [rng.randint(-bound, bound) for _ in range(group.order)])
+    return all(form.matrix[i][j] == bar_involution(group, w, form.matrix[j][i])
+               for i in range(form.rank) for j in range(form.rank))
 
 
 def hermitian_closure(group: FiniteGroup, w: OrientationChar,
@@ -492,7 +470,8 @@ def norm_quotient_facts(group: FiniteGroup,
                         w: OrientationChar) -> NormQuotientFacts:
     nq = norm_quotient_module(group, w)
     coinv = twisted_coinvariants(nq, w).presentation
-    tor = tor_one(nq, w)
+    # Sized by the group alone: census budgets bound the module's work.
+    tor = tor_one(nq, w, budget=None)
     expected = (0, ()) if group.order == 1 else (0, (group.order,))
     return NormQuotientFacts(
         coinvariants=coinv, tor=tor,

@@ -16,6 +16,7 @@ identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -238,7 +239,7 @@ def cmd_coinvariants(args) -> int:
 def cmd_tor1(args) -> int:
     group, w = _load_group_and_character(args)
     module = _load_module_for(args, group)
-    result = tor_one(module, w)
+    result = tor_one(module, w, budget=_resolve_budget(args))
     _emit(args, [f"tor1 = {result.describe()}"],
           {"tor1": _presentation_doc(result)})
     return 0
@@ -411,10 +412,15 @@ def cmd_verify_paper(args) -> int:
     return 0 if passed == len(checks) else 1
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """:func:`build_parser` once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help; pass through.
         return int(exc.code or 0)

@@ -339,7 +339,8 @@ def _check_same_group(module: ZPiModule, w: OrientationChar) -> None:
             "orientation character and module belong to different groups")
 
 
-def tor_one(module: ZPiModule, w: OrientationChar) -> AbelianPresentation:
+def tor_one(module: ZPiModule, w: OrientationChar,
+            budget: Optional[int] = DEFAULT_BUDGET) -> AbelianPresentation:
     """First derived functor of twisted coinvariants.
 
     Resolve one step by a free cover sending ``(k, g)`` to ``g`` acting on
@@ -348,8 +349,21 @@ def tor_one(module: ZPiModule, w: OrientationChar) -> AbelianPresentation:
     comparison map is the answer, because the cover contributes nothing in
     degree one.  The answer does not depend on the cover, so the cover keeps
     only the generators :func:`_minimal_cover` picks.
+
+    ``budget`` bounds the estimate ``|G|·n·(|G|·n + relation rows)`` for
+    ``n`` underlying generators, since the cover has up to ``|G|·n``
+    columns; it is checked before any work, and ``None`` removes it.
     """
     _check_same_group(module, w)
+    order, n = module.group.order, module.underlying.ngens
+    cols, rows = order * n, module.underlying.relations.rows
+    cost = cols * (cols + rows)
+    if budget is not None and cost > budget:
+        raise BudgetExceededError(
+            f"first derived functor cost {cost} ({cols} cover columns, "
+            f"group order {order} times {n} generators, times {cols} "
+            f"columns plus {rows} relation rows) exceeds budget {budget}; "
+            "raise the budget or use a smaller module")
     if module.zpi_free_rank is not None:
         return AbelianPresentation.free(0)
     return _tor_one_over(module, w, _minimal_cover(module))

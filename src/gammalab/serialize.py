@@ -58,6 +58,9 @@ def load_document(path: str) -> dict:
         raise ParseError(
             f"{path}: not valid structured text (line {exc.lineno}, "
             f"column {exc.colno}): {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: lists or mappings nested too deeply to "
+                         "read") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a mapping, "
                          f"not {type(doc).__name__}")

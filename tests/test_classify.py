@@ -15,8 +15,12 @@ Frozen oracle values in this file were computed by hand:
 
 Randomized suites check sesquilinearity, equivariance of the functor image,
 base-change invariance of the census, and the index-three transfer scaling.
+The translation law ``value(h1 a, h2 b) = h1 value(a, b) bar(h2)`` and the
+refusal of non-hermitian matrices are checked on every bundled group and
+character; ``check_hermitian`` itself makes only the entrywise test.
 """
 
+import json
 import random
 
 import pytest
@@ -63,6 +67,7 @@ from gammalab.groups import (
     bar_involution,
     subgroup_and_cosets,
 )
+from gammalab import cli
 from gammalab.intmat import IntMatrix
 from gammalab.modules import (
     free_module,
@@ -74,6 +79,24 @@ from gammalab.modules import (
     direct_sum_module,
 )
 from gammalab.gamma import quadratic_module
+from gammalab.serialize import bundled_names, bundled_path, load_group
+
+
+def bundled_pairs():
+    """(group name, character name) for every bundled group and character."""
+    pairs = []
+    for name in bundled_names("group"):
+        _, chars = load_group(bundled_path("group", name))
+        pairs.extend((name, char) for char in sorted(chars))
+    return pairs
+
+
+BUNDLED_PAIRS = bundled_pairs()
+
+
+def load_pair(name, char):
+    group, chars = load_group(bundled_path("group", name))
+    return group, chars[char]
 
 
 def nontrivial_char(group):
@@ -162,6 +185,103 @@ def test_evaluate_is_sesquilinear():
         # Hermitian symmetry of values.
         assert form.evaluate(b, a) == bar_involution(group, w,
                                                      form.evaluate(a, b))
+
+
+def translate(group, h, x):
+    """``h * x`` for a group element ``h``, read off the group table."""
+    out = [0] * group.order
+    for g, c in enumerate(x.coeffs):
+        out[group.table[h][g]] += c
+    return GroupRingElement(group, out)
+
+
+def test_bundled_pairs_cover_every_bundled_group():
+    names = {name for name, _ in BUNDLED_PAIRS}
+    assert names == {"trivial", "z2", "z3", "z4", "z6", "klein4", "s3", "d4",
+                     "q8"}
+    assert len(BUNDLED_PAIRS) == 22
+
+
+@pytest.mark.parametrize("name,char", BUNDLED_PAIRS)
+def test_evaluate_satisfies_the_translation_law(name, char):
+    """value(h1 a, h2 b) = h1 value(a, b) bar(h2) for every pair of group
+    elements, where bar(h) = w(h) h^-1.  Left translation by ``h`` is read
+    off the group table, not from the ring product, so a product taken in
+    the opposite order shows on the non-abelian groups."""
+    group, w = load_pair(name, char)
+    rng = random.Random(f"translation-law-{name}-{char}")
+    for rank in (1, 2, 2):
+        form = random_hermitian(rng, group, w, rank)
+        a = random_ring_vector(rng, group, rank)
+        b = random_ring_vector(rng, group, rank)
+        value = form.evaluate(a, b)
+        for h2 in range(group.order):
+            bar_h2 = bar_involution(group, w,
+                                    GroupRingElement.from_element(group, h2))
+            assert bar_h2 == GroupRingElement.from_element(
+                group, group.inverse[h2], w(h2))
+            shifted_b = [translate(group, h2, y) for y in b]
+            for h1 in range(group.order):
+                left = form.evaluate([translate(group, h1, x) for x in a],
+                                     shifted_b)
+                assert left == translate(group, h1, value) * bar_h2, \
+                    (name, char, rank, h1, h2)
+
+
+def _breaking_coefficients(group, w):
+    """Coefficients ``g`` at which adding 1 to a diagonal entry breaks
+    ``entry == bar(entry)``: those with ``g != g^-1`` or ``w(g) = -1``."""
+    return [g for g in range(group.order)
+            if group.inverse[g] != g or w(g) == -1]
+
+
+def _perturbed(form, i, j, g):
+    rows = [[list(entry.coeffs) for entry in row] for row in form.matrix]
+    rows[i][j][g] += 1
+    return rows
+
+
+@pytest.mark.parametrize("name,char", BUNDLED_PAIRS)
+def test_one_perturbed_coefficient_is_refused(name, char, tmp_path, capsys):
+    """Adding 1 to one coefficient of a hermitian form, off the diagonal or
+    on it, makes ``check_hermitian`` false and ``census`` exit 2.  On the
+    diagonal only a coefficient ``g`` with ``g != g^-1`` or ``w(g) = -1``
+    can break the symmetry; where no such ``g`` exists (an elementary
+    abelian 2-group with the trivial character) every diagonal perturbation
+    stays hermitian."""
+    group, w = load_pair(name, char)
+    rng = random.Random(f"perturbed-{name}-{char}")
+    form = random_hermitian(rng, group, w, 2)
+    assert check_hermitian(form)
+    breaking = _breaking_coefficients(group, w)
+    cases = [(0, 1, rng.randrange(group.order))]
+    if breaking:
+        cases.append((1, 1, rng.choice(breaking)))
+    else:
+        for g in range(group.order):
+            rows = _perturbed(form, 0, 0, g)
+            assert check_hermitian(
+                HermitianForm.from_coefficients(group, w, rows))
+    module = free_module(group, 2)
+    module_path = tmp_path / "module.json"
+    module_path.write_text(json.dumps({
+        "ngens": module.underlying.ngens,
+        "action": {str(g): module.action[g].data
+                   for g in range(group.order)}}), encoding="utf-8")
+    for i, j, g in cases:
+        rows = _perturbed(form, i, j, g)
+        assert not check_hermitian(
+            HermitianForm.from_coefficients(group, w, rows)), (i, j, g)
+        form_path = tmp_path / f"form_{i}{j}.json"
+        form_path.write_text(json.dumps({"rank": 2, "matrix": rows}),
+                             encoding="utf-8")
+        code = cli.main(["census", "--group", name, "--character", char,
+                         "--module", str(module_path),
+                         "--form", str(form_path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "not hermitian" in err
+        assert "Traceback" not in err
 
 
 def test_from_coefficients_round_trip():

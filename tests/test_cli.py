@@ -9,6 +9,7 @@ the plain character counts one primitive class with functional [0, 0, 1].
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +118,19 @@ def test_tor1_of_split_module(capsys):
                                     "--module", "z2_z_plus_ztwist"])
     assert code == 0
     assert out == "tor1 = Z/2\n"
+
+
+def test_tor1_follows_the_budget_environment_variable(capsys, monkeypatch):
+    # Group order 2 and 2 generators: 4 cover columns times 4 columns.
+    argv = ["tor1", "--group", "z2", "--character", "w",
+            "--module", "z2_z_plus_ztwist"]
+    monkeypatch.setenv("GAMMALAB_BUDGET", "15")
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert "first derived functor cost 16 (4 cover columns" in err
+    assert "exceeds budget 15" in err and "Traceback" not in err
+    monkeypatch.setenv("GAMMALAB_BUDGET", "16")
+    assert run_cli(capsys, argv)[:2] == (0, "tor1 = Z/2\n")
 
 
 # -- homology -----------------------------------------------------------------
@@ -409,3 +423,65 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, ["--help"])
     assert code == 0
     assert "usage" in out
+
+
+# -- the parser shared by every call in a process ------------------------------
+
+# ``--help`` text of the top level and of every subcommand at 80 columns, as
+# printed by a parser built for each call (argparse of Python 3.11).
+FROZEN_HELP = json.loads(
+    (Path(__file__).parent / "data" / "cli_help.json").read_text(
+        encoding="utf-8"))
+
+
+def test_frozen_help_covers_every_subcommand():
+    assert sorted(FROZEN_HELP) == sorted(
+        ["gammalab", "gamma", "coinvariants", "tor1", "homology", "census",
+         "orbit", "verify-paper"])
+
+
+@pytest.mark.parametrize("command", sorted(FROZEN_HELP))
+def test_help_text_is_unchanged(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ([] if command == "gammalab" else [command]) + ["--help"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    assert out == FROZEN_HELP[command]
+
+
+def test_build_parser_returns_a_fresh_parser(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    first = cli.build_parser()
+    assert first is not cli.build_parser()
+    assert first.format_help() == FROZEN_HELP["gammalab"]
+
+
+CENSUS_Z2 = ["census", "--group", "z2", "--character", "w",
+             "--module", "z2_regular", "--form", "rp4cp2"]
+
+
+def test_shared_parser_after_a_usage_error_and_help(capsys):
+    code, out, err = run_cli(capsys, ["census", "--group", "z2"])
+    assert code == 2 and out == ""
+    assert "the following arguments are required: --module" in err
+    code, out, _ = run_cli(capsys, ["--help"])
+    assert code == 0 and out.startswith("usage: gammalab")
+    argv = CENSUS_Z2 + ["--format", "structured"]
+    code, shared, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    args = cli.build_parser().parse_args(argv)
+    assert args.func(args) == 0
+    assert shared == capsys.readouterr().out
+
+
+def test_defaults_do_not_leak_between_calls(capsys):
+    code, out, _ = run_cli(capsys, CENSUS_Z2 + ["--format", "structured"])
+    assert code == 0 and json.loads(out)["command"] == "census"
+    code, out, _ = run_cli(capsys, CENSUS_Z2)
+    assert code == 0 and out.splitlines()[0] == "group order = 2"
+    # The character falls back to its default after a call that named one.
+    code, out, _ = run_cli(capsys, ["census", "--group", "z2",
+                                    "--module", "z2_regular",
+                                    "--format", "structured"])
+    assert code == 0
+    assert json.loads(out)["involution_rank"] == 0

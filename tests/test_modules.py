@@ -20,7 +20,7 @@ from gammalab.builtins import (
     symmetric_group_3,
     trivial_group,
 )
-from gammalab.errors import IncompatibleInputError
+from gammalab.errors import BudgetExceededError, IncompatibleInputError
 from gammalab.groups import (
     GroupRingElement,
     OrientationChar,
@@ -315,6 +315,32 @@ def test_tor_hand_values():
     assert tor_one(trivial_module(z2), wt).invariant_factors() == (0, (2,))
     assert tor_one(trivial_module(z2), w).invariant_factors() == (0, ())
     assert tor_one(sign_module(z2, w), wt).invariant_factors() == (0, ())
+
+
+def test_tor_budget_is_the_cover_estimate():
+    """The estimate is |G| n (|G| n + relation rows): accepted at the cost,
+    refused one below it, before any work, with the sizes in the message."""
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    cases = [
+        (norm_quotient_module(z3, OrientationChar.trivial(z3)),
+         3 * 3 * (3 * 3 + 1)),
+        (direct_sum_module(trivial_module(z2),
+                           sign_module(z2, nontrivial_char(z2))),
+         2 * 2 * (2 * 2)),
+        (free_module(quaternion_group(), 1), 8 * 8 * (8 * 8)),
+    ]
+    for module, cost in cases:
+        w = OrientationChar.trivial(module.group)
+        expected = tor_one(module, w, budget=None)
+        assert tor_one(module, w, budget=cost) == expected
+        with pytest.raises(BudgetExceededError) as info:
+            tor_one(module, w, budget=cost - 1)
+        order, n = module.group.order, module.underlying.ngens
+        assert (f"first derived functor cost {cost} ({order * n} cover "
+                f"columns, group order {order} times {n} generators, times "
+                f"{order * n} columns plus "
+                f"{module.underlying.relations.rows} relation rows) exceeds "
+                f"budget {cost - 1}") in str(info.value)
 
 
 def test_tor_additivity_on_direct_sums():

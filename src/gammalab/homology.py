@@ -5,10 +5,13 @@ the resulting orbit decomposition.
 Homology is read off a free resolution after collapsing each differential
 through the sign character.  The chain modules are free, so ``H_k`` comes
 from the elementary divisors of the twisted differentials ``d_k`` and
-``d_{k+1}`` alone.  Orbit queries keep the kernel-basis route: the
-kernel-modulo-image step presents the answer on a basis of the kernel
-lattice, and induced maps are solved in that same basis, which keeps
-everything exact and keeps automorphism actions honest homomorphisms.
+``d_{k+1}`` alone.  For the same reason the torsion of ``H_k`` is the
+torsion of the cokernel of ``d_{k+1}``, and for a finite group ``H_k`` is
+all torsion once ``k >= 1``.  Automorphisms act on that cokernel: the unit
+pivots of ``d_{k+1}`` are eliminated sparsely, one Smith normal form
+presents the remainder, and each chain map is pushed through the
+eliminations.  No kernel basis is built; ``homology_with_basis``, the
+kernel-modulo-image route, stays as an independent oracle.
 """
 
 from __future__ import annotations
@@ -17,13 +20,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .abelian import AbelianHom, AbelianPresentation
-from .errors import IncompatibleInputError, UnsupportedInputError
+from .errors import (BudgetExceededError, IncompatibleInputError,
+                     UnsupportedInputError)
 from .groups import (FiniteGroup, OrientationChar, automorphisms_preserving,
                      DEFAULT_AUT_CAP)
-from .intmat import (IntMatrix, SNFSolver, elementary_divisors,
-                     from_sparse_columns, kernel_basis, sparse_columns)
+from .intmat import (Elimination, IntMatrix, SNFSolver, elementary_divisors,
+                     eliminate_units, kernel_basis, sparse_columns)
 from .resolutions import (DEFAULT_BUDGET, Resolution, chain_resolution,
-                          chain_resolution_ranks, chain_tuples, check_budget,
+                          chain_resolution_ranks, check_budget,
                           periodic_generator, periodic_resolution,
                           twisted_chain_columns)
 
@@ -151,24 +155,25 @@ def group_homology(group: FiniteGroup, w: OrientationChar, k: int,
         len(d_out[1]) - rank_out - rank_in, [d for d in divisors if d > 1])
 
 
-def _chain_self_map(group: FiniteGroup, k: int, alpha: Sequence[int]) -> IntMatrix:
+def _chain_self_map(group: FiniteGroup, k: int, alpha: Sequence[int]) -> List[int]:
     """Degree-``k`` twisted chain map induced by an automorphism on the
-    chain resolution: entrywise relabeling of tuples."""
-    tuples = chain_tuples(group, k)
-    index = {t: i for i, t in enumerate(tuples)}
-    mat = IntMatrix.zeros(len(tuples), len(tuples))
-    for j, tup in enumerate(tuples):
-        image = tuple(alpha[g] for g in tup)
-        mat.data[index[image]][j] = 1
-    return mat
+    chain resolution, a relabeling of tuples: entry ``i`` is the index in
+    :func:`~gammalab.resolutions.chain_tuples` of the image of tuple ``i``.
+    Tuples are listed in mixed radix ``order - 1``, last entry fastest."""
+    base = group.order - 1
+    perm = [0]
+    for _ in range(k):
+        perm = [p * base + alpha[g] - 1 for p in perm
+                for g in range(1, group.order)]
+    return perm
 
 
 def _periodic_self_map(group: FiniteGroup, w: OrientationChar, k: int,
-                       alpha: Sequence[int]) -> IntMatrix:
+                       alpha: Sequence[int]) -> int:
     """Twisted chain map on the periodic resolution for the automorphism
-    sending the generator to its ``m``-th power: in degree ``2i`` multiply
-    by ``m^i``, in degree ``2i + 1`` additionally by the signed count of a
-    length-``m`` geometric sum."""
+    sending the generator to its ``m``-th power, a scalar: in degree ``2i``
+    multiply by ``m^i``, in degree ``2i + 1`` additionally by the signed
+    count of a length-``m`` geometric sum."""
     t = periodic_generator(group)
     m = None
     for e in range(1, group.order + 1):
@@ -181,7 +186,36 @@ def _periodic_self_map(group: FiniteGroup, w: OrientationChar, k: int,
     scalar = m ** (k // 2)
     if k % 2 == 1:
         scalar *= sum(w(t) ** j for j in range(m))
-    return IntMatrix.from_rows([[scalar]], cols=1)
+    return scalar
+
+
+def _check_descends(d_in: SparseDifferential, perm_k: Sequence[int],
+                    perm_up: Sequence[int]) -> None:
+    """Raise unless the relabelings of degrees ``k`` and ``k + 1`` commute
+    with ``d_{k+1}`` exactly; then the degree-``k`` map preserves the image
+    of ``d_{k+1}`` and descends to its cokernel."""
+    columns = d_in[1]
+    for j, column in enumerate(columns):
+        if {perm_k[r]: v for r, v in column.items()} != columns[perm_up[j]]:
+            raise IncompatibleInputError(
+                "chain map does not commute with the differential, so it "
+                "does not descend to homology")
+
+
+def _reduce(eliminations: Sequence[Elimination],
+            vector: Dict[int, int]) -> Dict[int, int]:
+    """Replay the unit eliminations on a chain, in the order they were
+    made: each pivot row's coefficient is traded for the rest of its pivot
+    column, which does not change the class in the cokernel of
+    ``d_{k+1}``.  The result lives on the surviving rows."""
+    for row, sign, column in eliminations:
+        a = vector.pop(row, 0)
+        if a:
+            a *= sign
+            for r, value in column.items():
+                if r != row:
+                    vector[r] = vector.get(r, 0) - a * value
+    return vector
 
 
 def induced_homology_maps(group: FiniteGroup, w: OrientationChar, k: int,
@@ -190,27 +224,60 @@ def induced_homology_maps(group: FiniteGroup, w: OrientationChar, k: int,
                           aut_cap: int = DEFAULT_AUT_CAP
                           ) -> Tuple[AbelianPresentation, List[AbelianHom]]:
     """The degree-``k`` homology together with the endomorphisms induced by
-    every character-preserving automorphism of the group."""
+    every character-preserving automorphism of the group.
+
+    ``C_{k-1}`` is free, so the torsion of ``H_k`` is the torsion of the
+    cokernel of ``d_{k+1}``, and ``H_k`` of a finite group is torsion for
+    ``k >= 1``: it is presented by its torsion invariants, on canonical
+    coordinates.  ``H_0`` is the cokernel of ``d_1`` itself.  The cokernel
+    comes from :func:`~gammalab.intmat.eliminate_units` and one Smith normal
+    form of the remainder; each chain map (a relabeling of tuples, or a
+    scalar on the periodic resolution) is pushed through the eliminations.
+    """
     d_out, d_in = _twisted_differentials(group, w, k, provider, budget, None)
     auts = automorphisms_preserving(group, w, cap=aut_cap)
-    if _provider_name(group, provider) == "cyclic":
-        self_map = lambda alpha: _periodic_self_map(group, w, k, alpha)
+    nrows = d_in[0]
+    if k == 0:
+        pres = AbelianPresentation.from_relation_rows(
+            nrows, [[col.get(i, 0) for i in range(nrows)] for col in d_in[1]])
+        lifts = [{i: 1} for i in range(nrows)]
+        coordinates = lambda vector: [vector.get(i, 0) for i in range(nrows)]
     else:
-        self_map = lambda alpha: _chain_self_map(group, k, alpha)
-    pres, basis = homology_with_basis(from_sparse_columns(*d_out),
-                                      from_sparse_columns(*d_in))
-    homs = []
-    solver = SNFSolver(basis) if basis.cols else None
-    for alpha in auts:
-        if basis.cols == 0:
-            homs.append(AbelianHom.identity(pres))
-            continue
-        moved = self_map(alpha).mul(basis)
-        in_basis = solver.solve_matrix(moved)
-        if in_basis is None:
+        eliminations, rows, rest = eliminate_units(*d_in)
+        coker = AbelianPresentation.from_relation_rows(
+            len(rows), [rest.column(j) for j in range(rest.cols)])
+        rank_out = sum(1 for d in elementary_divisors(*d_out) if d)
+        zero_rows = nrows - len(eliminations) - len(rows)
+        if zero_rows + coker.rank != rank_out:
             raise IncompatibleInputError(
-                "chain map does not preserve the kernel lattice")
-        homs.append(AbelianHom(pres, pres, in_basis))
+                f"degree-{k} homology of a finite group has free rank "
+                f"{zero_rows + coker.rank - rank_out}, not 0; the complex "
+                "does not resolve the integers")
+        pres = AbelianPresentation.from_diagonal(coker.torsion)
+        zeros_free = [0] * coker.rank
+        lifts = []
+        for unit in IntMatrix.identity(len(coker.torsion)).data:
+            x = coker.from_canonical(zeros_free, unit)
+            lifts.append({rows[p]: c for p, c in enumerate(x) if c})
+
+        def coordinates(vector):
+            reduced = _reduce(eliminations, vector)
+            return list(coker.to_canonical([reduced.get(r, 0)
+                                            for r in rows])[1])
+    periodic = _provider_name(group, provider) == "cyclic"
+    homs = []
+    for alpha in auts:
+        if periodic:
+            scalar = _periodic_self_map(group, w, k, alpha)
+            perm = range(nrows)
+        else:
+            scalar = 1
+            perm = _chain_self_map(group, k, alpha)
+            _check_descends(d_in, perm, _chain_self_map(group, k + 1, alpha))
+        columns = [coordinates({perm[i]: scalar * c for i, c in lift.items()})
+                   for lift in lifts]
+        homs.append(AbelianHom(pres, pres, IntMatrix.from_columns(
+            columns, rows=pres.ngens)))
     return pres, homs
 
 
@@ -239,6 +306,13 @@ def homology_orbits(group: FiniteGroup, w: OrientationChar, k: int,
     under negation and induced automorphism action, with orbit sizes and
     canonical-coordinate representatives."""
     pres, homs = induced_homology_maps(group, w, k, provider, budget, aut_cap)
+    order = pres.torsion_order()
+    cost = order * (1 + 2 * len(homs))
+    if budget is not None and cost > budget:
+        raise BudgetExceededError(
+            f"orbit enumeration cost {cost} exceeds budget {budget} (torsion "
+            f"order {order} times 1 + 2 x {len(homs)} character-preserving "
+            f"automorphisms); raise the budget")
     free_rank = pres.rank
     zeros_free = [0] * free_rank
     vec_of = {}

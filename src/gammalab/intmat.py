@@ -11,8 +11,8 @@ Conventions
   degenerate shapes ``0 x n`` and ``n x 0`` (empty relation sets, rank-zero
   modules) stay unambiguous.
 * A sparse matrix is a row count plus a list of columns, each a
-  ``{row: value}`` map of its nonzero entries; ``elementary_divisors``
-  takes this form.
+  ``{row: value}`` map of its nonzero entries; ``eliminate_units`` and
+  ``elementary_divisors`` take this form.
 * ``smith_normal_form`` returns ``U, D, V`` with ``U * M * V = D``, both
   transforms unimodular, and the diagonal of ``D`` nonnegative with each
   entry dividing the next.  The inverses of the transforms are accumulated
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
 def xgcd(a: int, b: int) -> tuple:
@@ -501,17 +501,28 @@ def from_sparse_columns(nrows: int, columns: Sequence[Mapping[int, int]]) -> Int
     return m
 
 
-def elementary_divisors(nrows: int, columns: Sequence[Mapping[int, int]]) -> List[int]:
-    """The Smith normal form diagonal of the ``nrows x len(columns)`` matrix
-    whose ``j``-th column has the nonzero entries ``columns[j]`` (row ->
-    value); the same list as ``smith_normal_form(M).diagonal``.
+# One unit pivot: (pivot row, pivot sign, pivot column as it stood).
+Elimination = Tuple[int, int, Dict[int, int]]
 
-    Entries ``±1`` are eliminated sparsely first: each such pivot is
-    replaced by its Schur complement, which contributes a divisor ``1`` and
-    drops its row and column.  Within a column the unit in the shortest row
-    is taken, which keeps fill-in low; a column without a unit is looked at
-    again only after an elimination changed it.  The dense
-    :func:`smith_normal_form` then finishes the remainder.
+
+def eliminate_units(nrows: int, columns: Sequence[Mapping[int, int]]
+                    ) -> Tuple[List[Elimination], List[int], IntMatrix]:
+    """Sparse elimination of the entries ``±1`` of the ``nrows x
+    len(columns)`` matrix whose ``j``-th column has the nonzero entries
+    ``columns[j]`` (row -> value).
+
+    Each pivot is replaced by its Schur complement, which drops its row and
+    column.  Within a column the unit in the shortest row is taken, which
+    keeps fill-in low; a column without a unit is looked at again only
+    after an elimination changed it.
+
+    Returns ``(eliminations, rows, rest)``.  ``eliminations`` lists, in the
+    order made, ``(pivot row, pivot sign, pivot column)`` with the column as
+    it stood then; in the cokernel that column says the pivot row's basis
+    vector equals ``-sign`` times the rest of the column.  ``rest`` is the
+    dense remainder on the surviving columns, over the surviving rows that
+    still hold an entry, listed in ``rows`` in increasing order; the other
+    surviving rows are zero.  The input columns are left as they are.
     """
     cols = [{i: v for i, v in col.items() if v} for col in columns]
     in_row: List[set] = [set() for _ in range(nrows)]
@@ -520,7 +531,7 @@ def elementary_divisors(nrows: int, columns: Sequence[Mapping[int, int]]) -> Lis
             in_row[i].add(j)
     queue = deque(sorted(range(len(cols)), key=lambda j: len(cols[j])))
     queued = [True] * len(cols)
-    units = 0
+    eliminations: List[Elimination] = []
     while queue:
         j = queue.popleft()
         queued[j] = False
@@ -552,15 +563,28 @@ def elementary_divisors(nrows: int, columns: Sequence[Mapping[int, int]]) -> Lis
                 queued[c] = True
                 queue.append(c)
         cols[j] = {}
-        units += 1
+        eliminations.append((best, pivot, pivot_col))
     live_cols = [col for col in cols if col]
-    position = {i: p for p, i in enumerate(sorted(
-        {i for col in live_cols for i in col}))}
-    rest = from_sparse_columns(len(position), [
+    rows = sorted({i for col in live_cols for i in col})
+    position = {i: p for p, i in enumerate(rows)}
+    rest = from_sparse_columns(len(rows), [
         {position[i]: value for i, value in col.items()} for col in live_cols])
+    return eliminations, rows, rest
+
+
+def elementary_divisors(nrows: int, columns: Sequence[Mapping[int, int]]) -> List[int]:
+    """The Smith normal form diagonal of the ``nrows x len(columns)`` matrix
+    whose ``j``-th column has the nonzero entries ``columns[j]`` (row ->
+    value); the same list as ``smith_normal_form(M).diagonal``.
+
+    :func:`eliminate_units` contributes a divisor ``1`` per unit pivot; the
+    dense :func:`smith_normal_form` then finishes the remainder.
+    """
+    eliminations, _, rest = eliminate_units(nrows, columns)
+    units = len(eliminations)
     nonzero = [d for d in smith_normal_form(rest, track_u=False,
                                             track_v=False).diagonal if d]
-    zeros = min(nrows, len(cols)) - units - len(nonzero)
+    zeros = min(nrows, len(columns)) - units - len(nonzero)
     return [1] * units + nonzero + [0] * zeros
 
 

@@ -252,6 +252,19 @@ def test_orbit_command_structured(capsys):
                              {"representative": [1], "size": 2}]
 
 
+def test_orbit_budget_exits_one(capsys):
+    # H_3(Z/6) = Z/6 with two automorphisms: orbit cost 6 x (1 + 2 x 2).
+    for argv in (["orbit", "--group", "z6", "--degree", "3"],
+                 ["homology", "--group", "z6", "--degree", "3", "--orbits"]):
+        code, out, _ = run_cli(capsys, argv + ["--budget", "30"])
+        assert code == 0 and out
+        code, out, err = run_cli(capsys, argv + ["--budget", "29"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: orbit enumeration cost 30 exceeds "
+                              "budget 29 (torsion order 6")
+        assert "2 character-preserving automorphisms" in err
+
+
 def test_coinvariants_budget_counts_each_route(tmp_path, capsys, monkeypatch):
     # Orbit route: 2 basis vectors times group order 2.
     argv = ["coinvariants", "--group", "z2", "--module", "z2_regular"]

@@ -351,6 +351,73 @@ def test_orbit_report_twisted_top_degree():
     assert report.orbits == [((0,), 1), ((1,), 1)]
 
 
+def test_orbit_budget_counts_torsion_order_and_automorphisms():
+    # H_3(Z/6) = Z/6 with two automorphisms: 6 x (1 + 2 x 2) = 30.  The
+    # periodic resolution has no cost of its own, so only the orbit
+    # enumeration meets the budget.
+    z6 = cyclic_group(6)
+    w = OrientationChar.trivial(z6)
+    report = homology_orbits(z6, w, 3, budget=30)
+    assert report.orbit_count == 4
+    with pytest.raises(BudgetExceededError) as info:
+        homology_orbits(z6, w, 3, budget=29)
+    message = str(info.value)
+    assert "cost 30 exceeds budget 29" in message
+    assert "torsion order 6" in message
+    assert "2 character-preserving automorphisms" in message
+
+
+def test_orbit_budget_on_the_chain_resolution():
+    # H_3 of the Klein four group is (Z/2)^3 with six automorphisms, an
+    # orbit cost of 8 x 13 = 104, far below the 9,840 of its resolution.
+    k4 = klein_four_group()
+    w = OrientationChar.trivial(k4)
+    report = homology_orbits(k4, w, 3, budget=9_840)
+    assert report.presentation.torsion_order() == 8
+    assert report.automorphism_count == 6
+    assert report.orbit_count == 4
+    with pytest.raises(BudgetExceededError) as info:
+        homology_orbits(k4, w, 3, budget=9_839)
+    assert "resolution cost 9840" in str(info.value)
+
+
+# (group, index in ``all_characters``) -> invariants, automorphism count,
+# orbit count and sorted orbit sizes of H_3, frozen from a run of the
+# kernel-basis route (``homology_with_basis`` with ``SNFSolver``), which
+# took 123-537 s per character.
+ORDER_EIGHT_DEGREE_THREE_ORBITS = {
+    ("d4", 0): ((0, (2, 2, 4)), 8, 9, [1, 1, 1, 1, 2, 2, 2, 2, 4]),
+    ("d4", 1): ((0, (2, 2)), 8, 3, [1, 1, 2]),
+    ("d4", 2): ((0, (2, 2)), 4, 4, [1, 1, 1, 1]),
+    ("d4", 3): ((0, (2, 2)), 4, 4, [1, 1, 1, 1]),
+    ("q8", 0): ((0, (8,)), 24, 5, [1, 1, 2, 2, 2]),
+    ("q8", 1): ((0, ()), 8, 1, [1]),
+    ("q8", 2): ((0, ()), 8, 1, [1]),
+    ("q8", 3): ((0, ()), 8, 1, [1]),
+}
+
+# With the trivial character, from the literature: H_3(D4; Z) =
+# Z/2 + Z/2 + Z/4 and H_3(Q8; Z) = Z/8 (see above), |Aut(D4)| = 8 and
+# |Aut(Q8)| = 24.
+ORDER_EIGHT_DEGREE_THREE_TRIVIAL = {"d4": ((0, (2, 2, 4)), 8),
+                                    "q8": ((0, (8,)), 24)}
+
+
+@pytest.mark.parametrize("make, name", [(dihedral_group_4, "d4"),
+                                        (quaternion_group, "q8")])
+def test_order_eight_degree_three_orbits(make, name):
+    group = make()
+    for index, w in enumerate(all_characters(group)):
+        report = homology_orbits(group, w, 3,
+                                 budget=ORDER_EIGHT_DEGREE_THREE_BUDGET)
+        got = (report.presentation.invariant_factors(),
+               report.automorphism_count, report.orbit_count,
+               sorted(size for _, size in report.orbits))
+        assert got == ORDER_EIGHT_DEGREE_THREE_ORBITS[(name, index)]
+        if index == 0:
+            assert got[:2] == ORDER_EIGHT_DEGREE_THREE_TRIVIAL[name]
+
+
 def test_orbit_aut_cap_propagates():
     q8 = quaternion_group()
     with pytest.raises(BudgetExceededError):

@@ -7,6 +7,9 @@ path it replaced, which stays in the package as the oracle:
 * ``elementary_divisors`` against the diagonal of the full
   ``smith_normal_form`` on seeded random matrices, degenerate shapes
   included;
+* the eliminations ``eliminate_units`` records, replayed on random
+  vectors, against membership in the column lattice (``SNFSolver``), and
+  its remainder against the cokernel of the whole matrix;
 * the sparse twisted bar columns against
   ``chain_resolution(...).twisted_matrix(k, w)``;
 * ``group_homology`` against ``quotient_of_kernel_by_image`` (kernel basis
@@ -18,14 +21,15 @@ import random
 
 import pytest
 
+from gammalab.abelian import AbelianPresentation
 from gammalab.builtins import cyclic_group, standard_library
 from gammalab.errors import BudgetExceededError, IncompatibleInputError
 from gammalab.groups import OrientationChar, all_characters
-from gammalab.homology import (MAX_DEGREE, group_homology,
+from gammalab.homology import (MAX_DEGREE, _reduce, group_homology,
                                quotient_of_kernel_by_image)
-from gammalab.intmat import (IntMatrix, elementary_divisors,
-                             from_sparse_columns, smith_normal_form,
-                             sparse_columns)
+from gammalab.intmat import (IntMatrix, SNFSolver, elementary_divisors,
+                             eliminate_units, from_sparse_columns,
+                             smith_normal_form, sparse_columns)
 from gammalab.resolutions import (Resolution, chain_resolution,
                                   chain_resolution_ranks, periodic_resolution,
                                   resolution_cost, twisted_chain_columns)
@@ -85,6 +89,37 @@ def test_elementary_divisors_match_smith_normal_form():
         assert columns == snapshot  # the input is left untouched
         checked += 1
     assert checked >= 1000
+
+
+def test_replayed_eliminations_stay_in_the_cokernel_class():
+    rng = random.Random(20260101)
+    for trial in range(300):
+        rows, cols = rng.randint(1, 9), rng.randint(0, 9)
+        m = random_matrix(rng, rows, cols, (-2, -1, 0, 1, 1, 2, 3),
+                          rng.choice((0.2, 0.5, 1.0)))
+        eliminations, kept, rest = eliminate_units(rows, sparse_columns(m))
+        pivots = [row for row, _, _ in eliminations]
+        assert len(set(pivots)) == len(pivots)
+        assert not set(pivots) & set(kept) and kept == sorted(kept)
+        # The remainder, plus one free generator per surviving zero row,
+        # presents the cokernel of the whole matrix.
+        whole = AbelianPresentation.from_relation_rows(
+            rows, [m.column(j) for j in range(cols)])
+        part = AbelianPresentation.from_relation_rows(
+            len(kept), [rest.column(j) for j in range(rest.cols)])
+        zero_rows = rows - len(pivots) - len(kept)
+        assert whole.invariant_factors() == \
+            (part.rank + zero_rows, part.torsion), m
+        # Replaying the eliminations moves a vector within its class and
+        # off the pivot rows.
+        solver = SNFSolver(m)
+        for _ in range(4):
+            x = [rng.randint(-3, 3) for _ in range(rows)]
+            reduced = _reduce(eliminations,
+                              {i: c for i, c in enumerate(x) if c})
+            assert not set(reduced) & set(pivots)
+            assert solver.contains([c - reduced.get(i, 0)
+                                    for i, c in enumerate(x)]), (m, x)
 
 
 def test_elementary_divisors_degenerate_shapes():

@@ -1,12 +1,18 @@
-"""Seeded-random malformed inputs through ``gammalab census``.
+"""Seeded-random malformed inputs through ``gammalab census``, ``orbit``
+and ``homology --resolution file``.
 
-Each case starts from a valid group, free module and hermitian form file
-and breaks one of them: wrong types, ragged rows, huge sizes, deep nesting,
-tables that are not groups, characters and actions that are not
-multiplicative, and forms that are not hermitian.  Every such run must exit
-2 with an ``error:`` line on stderr and no traceback.  Whether a broken
-table, character or action really fails its law is decided here, from the
-definitions, before the case is used.
+Each census case starts from a valid group, free module and hermitian form
+file and breaks one of them: wrong types, ragged rows, huge sizes, deep
+nesting, tables that are not groups, characters and actions that are not
+multiplicative, and forms that are not hermitian.  The group breakages also
+run through ``gammalab orbit``.  Resolution cases start from the periodic
+resolution of a cyclic group, or the chain resolution of ``Z/3``, and break
+it: ragged or missing boundaries, coefficient vectors of the wrong length,
+negative or huge ranks, deep nesting, and complexes that do not compose to
+zero.  Every such run must exit 2 with an ``error:`` line on stderr and no
+traceback.  Whether a broken table, character, action or complex really
+fails its law is decided here, from the definitions, before the case is
+used.
 """
 
 import json
@@ -20,6 +26,7 @@ from gammalab.builtins import (cyclic_group, klein_four_group,
 from gammalab.classify import hermitian_closure
 from gammalab.groups import GroupRingElement, all_characters
 from gammalab.modules import free_module
+from gammalab.resolutions import chain_resolution, periodic_resolution
 
 GROUPS = {"z3": cyclic_group(3), "z4": cyclic_group(4),
           "klein4": klein_four_group(), "s3": symmetric_group_3()}
@@ -217,3 +224,196 @@ def test_malformed_input_exits_two(kind, tmp_path, capsys):
         assert out == ""
         assert any(line.startswith("error: ") for line in err.splitlines())
         assert "Traceback" not in err
+
+
+def write_file(tmp_path, name, text):
+    path = tmp_path / f"{name}.json"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def assert_input_error(argv, capsys, context):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2, (context, err)
+    assert out == ""
+    assert any(line.startswith("error: ") for line in err.splitlines())
+    assert "Traceback" not in err
+
+
+# -- groups through ``gammalab orbit`` ---------------------------------------
+
+GROUP_KINDS = ("wrong_type", "ragged", "huge", "deep", "not_a_group",
+               "non_multiplicative_character")
+
+
+def orbit_argv(tmp_path, group_text):
+    return ["orbit", "--group", write_file(tmp_path, "group", group_text),
+            "--character", "w", "--degree", "1"]
+
+
+def test_valid_groups_pass_orbit(tmp_path, capsys):
+    rng = random.Random(141)
+    for _ in range(CASES_PER_KIND):
+        group_doc = valid_docs(rng)[0]
+        assert cli.main(orbit_argv(tmp_path, json.dumps(group_doc))) == 0
+        out, err = capsys.readouterr()
+        assert out and err == ""
+
+
+@pytest.mark.parametrize("kind", GROUP_KINDS)
+def test_malformed_group_through_orbit_exits_two(kind, tmp_path, capsys):
+    """The census breakages that touch the group file alone."""
+    rng = random.Random(f"orbit-fuzz-{kind}")
+    for case in range(CASES_PER_KIND):
+        group_doc = valid_docs(rng)[0]
+        text = None
+        if kind == "huge":
+            group_doc["order"] += 10 ** rng.randint(4, 30)
+        elif kind == "deep":
+            text = "[" * 10 ** 5 + "]" * 10 ** 5
+        else:
+            KINDS[kind](rng, [group_doc])
+        text = text or json.dumps(group_doc)
+        assert_input_error(orbit_argv(tmp_path, text), capsys,
+                           (kind, case, text[:200]))
+
+
+# -- resolutions through ``gammalab homology --resolution file`` -------------
+
+RESOLUTION_GROUPS = {"z2": cyclic_group(2), "z3": cyclic_group(3),
+                     "z4": cyclic_group(4)}
+
+
+def valid_resolution(rng):
+    """(group name, resolution doc) for the periodic resolution of a cyclic
+    group of length 5, or the chain resolution of Z/3 (ranks 2^k)."""
+    name = rng.choice(sorted(RESOLUTION_GROUPS) + ["z3-chain"])
+    if name == "z3-chain":
+        name, resolution = "z3", chain_resolution(cyclic_group(3), 5)
+    else:
+        resolution = periodic_resolution(RESOLUTION_GROUPS[name], 5)
+    doc = {"ranks": list(resolution.ranks),
+           "boundaries": [[[list(entry) for entry in row] for row in matrix]
+                          for matrix in resolution.differentials]}
+    return name, doc
+
+
+def composes_to_zero(group, doc):
+    """Whether consecutive boundaries multiply to zero in the group ring
+    (the groups here are abelian, so the order of factors is immaterial)."""
+    ring = lambda c: GroupRingElement(group, c)
+    bounds = doc["boundaries"]
+    for k in range(1, len(bounds)):
+        upper, lower = bounds[k - 1], bounds[k]
+        for row in upper:
+            for j in range(len(lower[0]) if lower else 0):
+                total = ring([0] * group.order)
+                for entry, lower_row in zip(row, lower):
+                    total = total + ring(entry) * ring(lower_row[j])
+                if any(total.coeffs):
+                    return False
+    return True
+
+
+def some_boundary(rng, doc):
+    """A nonempty boundary matrix and one of its rows."""
+    matrix = rng.choice([m for m in doc["boundaries"] if m and m[0]])
+    return matrix, matrix[rng.randrange(len(matrix))]
+
+
+def ragged_boundary(rng, name, doc):
+    """A boundary row one entry longer or shorter, or a row dropped."""
+    matrix, row = some_boundary(rng, doc)
+    choice = rng.randrange(3)
+    if choice == 0:
+        row.pop()
+    elif choice == 1:
+        row.append(list(row[0]))
+    else:
+        matrix.remove(row)
+
+
+def missing_boundary(rng, name, doc):
+    """A boundary matrix dropped, or the whole field or the ranks gone."""
+    choice = rng.randrange(3)
+    if choice == 0:
+        doc["boundaries"].pop(rng.randrange(len(doc["boundaries"])))
+    else:
+        del doc[("boundaries", "ranks")[choice - 1]]
+
+
+def wrong_coefficient_length(rng, name, doc):
+    _, row = some_boundary(rng, doc)
+    entry = row[rng.randrange(len(row))]
+    if rng.random() < 0.5:
+        entry.pop()
+    else:
+        entry.append(rng.randint(-1, 1))
+
+
+def bad_rank(rng, name, doc):
+    """A rank made negative or far above the data."""
+    k = rng.randrange(len(doc["ranks"]))
+    if rng.random() < 0.5:
+        doc["ranks"][k] = -rng.randint(1, 10 ** rng.randint(1, 30))
+    else:
+        doc["ranks"][k] += 10 ** rng.randint(1, 30)
+
+
+def deep_resolution(rng, name, doc):
+    nested = "[" * 10 ** 5 + "]" * 10 ** 5
+    if rng.random() < 0.5:
+        return nested
+    return '{"ranks": %s, "boundaries": %s}' % (json.dumps(doc["ranks"]),
+                                                nested)
+
+
+def not_a_complex(rng, name, doc):
+    """One coefficient moved so that two boundaries no longer compose to
+    zero."""
+    group = RESOLUTION_GROUPS[name]
+    while True:
+        _, row = some_boundary(rng, doc)
+        entry = row[rng.randrange(len(row))]
+        g = rng.randrange(group.order)
+        step = rng.choice((-1, 1))
+        entry[g] += step
+        if not composes_to_zero(group, doc):
+            return
+        entry[g] -= step
+
+
+RESOLUTION_KINDS = {"ragged_boundary": ragged_boundary,
+                    "missing_boundary": missing_boundary,
+                    "wrong_coefficient_length": wrong_coefficient_length,
+                    "bad_rank": bad_rank, "deep": deep_resolution,
+                    "not_a_complex": not_a_complex}
+
+
+def homology_argv(tmp_path, name, text, degree):
+    return ["homology", "--group", name, "--degree", str(degree),
+            "--resolution", "file", "--resolution-file",
+            write_file(tmp_path, "resolution", text)]
+
+
+def test_valid_resolutions_pass(tmp_path, capsys):
+    rng = random.Random(142)
+    for _ in range(CASES_PER_KIND):
+        name, doc = valid_resolution(rng)
+        assert composes_to_zero(RESOLUTION_GROUPS[name], doc)
+        argv = homology_argv(tmp_path, name, json.dumps(doc),
+                             rng.randrange(5))
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("H_") and err == ""
+
+
+@pytest.mark.parametrize("kind", sorted(RESOLUTION_KINDS))
+def test_malformed_resolution_exits_two(kind, tmp_path, capsys):
+    rng = random.Random(f"resolution-fuzz-{kind}")
+    for case in range(CASES_PER_KIND):
+        name, doc = valid_resolution(rng)
+        text = RESOLUTION_KINDS[kind](rng, name, doc) or json.dumps(doc)
+        argv = homology_argv(tmp_path, name, text, rng.randrange(5))
+        assert_input_error(argv, capsys, (kind, case, text[:200]))

@@ -22,7 +22,8 @@ import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import IncompatibleInputError
-from .intmat import IntMatrix, bezout_combination, smith_normal_form
+from .intmat import (IntMatrix, bezout_combination, elementary_divisors,
+                     smith_normal_form, sparse_columns)
 
 
 def format_invariants(rank: int, factors: Sequence[int]) -> str:
@@ -136,8 +137,8 @@ class AbelianPresentation:
         """Return ``(free_rank, torsion_factors)`` with each factor >= 2 and
         dividing the next."""
         if self._invariants is None:
-            snf = smith_normal_form(self.relations, track_u=False, track_v=False)
-            nonzero = [d for d in snf.diagonal if d != 0]
+            rows = sparse_columns(self.relations.transpose())
+            nonzero = [d for d in elementary_divisors(self.ngens, rows) if d]
             rank = self.ngens - len(nonzero)
             torsion = tuple(d for d in nonzero if d >= 2)
             self._invariants = (rank, torsion)
@@ -186,7 +187,7 @@ class AbelianPresentation:
 
     def _canon(self):
         if self._canonical is None:
-            snf = smith_normal_form(self.relations, track_u=False, track_v=True)
+            snf = smith_normal_form(self.relations)
             diag = snf.diagonal
             free_idx, torsion_idx, torsion_mod = [], [], []
             for i in range(self.ngens):
@@ -221,8 +222,7 @@ class AbelianPresentation:
         return vinv.vec_mat(y)
 
     def element_is_zero(self, x: Sequence[int]) -> bool:
-        free, torsion = self.to_canonical(x)
-        return all(v == 0 for v in free) and all(v == 0 for v in torsion)
+        return self.contains_in_relation_lattice(x)
 
     def elements_equal(self, x: Sequence[int], y: Sequence[int]) -> bool:
         return self.element_is_zero([a - b for a, b in zip(x, y)])
@@ -357,7 +357,7 @@ class AbelianHom:
     def kernel(self) -> Tuple[AbelianPresentation, IntMatrix]:
         """The kernel as an abstract group plus a matrix of coset
         representatives (columns, in source generator coordinates)."""
-        from .intmat import lattice_basis, preimage_lattice, SNFSolver
+        from .intmat import preimage_lattice, SNFSolver
         target_lattice = self.target.relations.transpose()
         preimage = preimage_lattice(self.matrix, target_lattice)
         if preimage.cols == 0:

@@ -22,7 +22,7 @@ from .gamma import (gamma_rank, induced_matrix, quadratic_module,
 from .groups import (FiniteGroup, GroupRingElement, OrientationChar,
                      bar_involution, central_involutions)
 from .homology import group_homology
-from .intmat import IntMatrix, det, integer_inverse
+from .intmat import IntMatrix, det
 from .modules import (CoinvariantsResult, ZPiModule, check_coinvariants_budget,
                       free_module, norm_quotient_module, tor_one,
                       twisted_coinvariants)
@@ -339,8 +339,8 @@ def kappa_diagnostics(group: FiniteGroup, w: OrientationChar,
         raise SingularFormError(
             f"identity-coefficient matrix has determinant {determinant}; "
             "the comparison map needs a unimodular form")
-    comparison = integer_inverse(s).mul(s)
-    kappa2 = comparison.trace()
+    # The comparison map, the form against its own inverse, is the identity.
+    kappa2 = s.rows
 
     chi_consistent = None
     if chi is not None:
@@ -357,8 +357,7 @@ def kappa_diagnostics(group: FiniteGroup, w: OrientationChar,
             status = "undefined: no central involution with sign +1"
         else:
             involution = candidates[0]
-            involution_trace = pi2.action_matrix(involution).mul(
-                comparison).trace()
+            involution_trace = pi2.action_matrix(involution).trace()
             if involution_trace % 2 != 0:
                 status = f"undefined: trace {involution_trace} is odd"
             else:

@@ -15,15 +15,17 @@ Conventions
   ``elementary_divisors`` take this form.
 * ``smith_normal_form`` returns ``U, D, V`` with ``U * M * V = D``, both
   transforms unimodular, and the diagonal of ``D`` nonnegative with each
-  entry dividing the next.  The inverses of the transforms are accumulated
-  alongside them, which is cheaper and more reliable than inverting after
-  the fact.
+  entry dividing the next.  The reduction logs its elementary operations;
+  each transform, and each inverse, is built from the log only when a
+  caller reads it, by replaying the operations on an identity (inverses by
+  undoing them from the other side), never by inverting after the fact.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
@@ -280,62 +282,102 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass
 class SNFResult:
-    """Smith normal form ``U * M * V = D`` together with the transform inverses.
+    """Smith normal form ``U * M * V = D`` of a matrix.
 
-    ``u``/``uinv`` (resp. ``v``/``vinv``) are ``None`` when tracking was turned
-    off for speed.  ``diagonal`` lists the diagonal of ``D`` out to
-    ``min(rows, cols)``, sign-normalized and in divisibility order.
+    ``diagonal`` lists the diagonal of ``D`` out to ``min(rows, cols)``,
+    sign-normalized and in divisibility order.  ``u``, ``v``, ``uinv`` and
+    ``vinv`` are each built from the operation log on first read.
     """
 
-    d: IntMatrix
-    u: Optional[IntMatrix]
-    v: Optional[IntMatrix]
-    uinv: Optional[IntMatrix]
-    vinv: Optional[IntMatrix]
-    diagonal: List[int]
+    def __init__(self, d: IntMatrix, diagonal: List[int], log: tuple):
+        self.d = d
+        self.diagonal = diagonal
+        self._log = log
 
     @property
     def rank(self) -> int:
         return sum(1 for x in self.diagonal if x != 0)
 
+    @cached_property
+    def u(self) -> IntMatrix:
+        return _replay(self._log, _ROW, self.d.rows, undo=False)
+
+    @cached_property
+    def uinv(self) -> IntMatrix:
+        return _replay(self._log, _ROW, self.d.rows, undo=True).transpose()
+
+    @cached_property
+    def v(self) -> IntMatrix:
+        return _replay(self._log, _COL, self.d.cols, undo=False).transpose()
+
+    @cached_property
+    def vinv(self) -> IntMatrix:
+        return _replay(self._log, _COL, self.d.cols, undo=True)
+
+
+# An operation is logged as ``code | target << 3 | source << 33`` in an
+# ``array`` of 64-bit ints, and its factor, of any size, in a list.  The low
+# bit of the code is the side (row or column), the rest the kind: swap,
+# ``target += factor * source``, or negation of ``target``.
+_ROW, _COL = 0, 1
+_SWAP, _ADD, _NEGATE = 0, 2, 4
+
+
+def _replay(log: tuple, side: int, n: int, undo: bool) -> IntMatrix:
+    """Replay the logged operations of one side, in order, as row
+    operations on the ``n x n`` identity: this gives ``U`` for rows and
+    ``V^T`` for columns.  With ``undo`` each operation is inverted and
+    applied from the other side, which gives ``(U^-1)^T`` and ``V^-1``."""
+    t = IntMatrix.identity(n)
+    a = t.data
+    for op, factor in zip(*log):
+        if op & 1 != side:
+            continue
+        kind = op & 6
+        target, source = op >> 3 & 0x3FFFFFFF, op >> 33
+        if kind == _SWAP:
+            a[target], a[source] = a[source], a[target]
+        elif kind == _ADD:
+            if undo:
+                target, source, factor = source, target, -factor
+            row = a[target]
+            for k, x in enumerate(a[source]):
+                if x:
+                    row[k] += factor * x
+        else:
+            a[target] = [-x for x in a[target]]
+    return t
+
 
 class _Worker:
-    """Mutable elimination state: the matrix plus optionally tracked transforms.
+    """Mutable elimination state: the matrix plus a log of the elementary
+    operations made on it, from which :class:`SNFResult` builds the
+    transforms."""
 
-    Row operations multiply ``U`` on the left by the elementary matrix ``E``
-    and ``U^-1`` on the right by ``E^-1``; column operations do the mirror
-    image on ``V`` / ``V^-1``.
-    """
-
-    def __init__(self, m: IntMatrix, track_u: bool, track_v: bool):
+    def __init__(self, m: IntMatrix):
         self.a = [row[:] for row in m.data]
         self.rows = m.rows
         self.cols = m.cols
-        self.u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)] if track_u else None
-        self.uinv = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)] if track_u else None
-        self.v = [[int(i == j) for j in range(m.cols)] for i in range(m.cols)] if track_v else None
-        self.vinv = [[int(i == j) for j in range(m.cols)] for i in range(m.cols)] if track_v else None
+        self.ops = array("q")
+        self.factors: List[int] = []
+
+    def log(self, code: int, target: int, source: int, factor: int) -> None:
+        self.ops.append(code | target << 3 | source << 33)
+        self.factors.append(factor)
 
     def swap_rows(self, i: int, j: int) -> None:
         if i == j:
             return
         self.a[i], self.a[j] = self.a[j], self.a[i]
-        if self.u is not None:
-            self.u[i], self.u[j] = self.u[j], self.u[i]
-            for row in self.uinv:
-                row[i], row[j] = row[j], row[i]
+        self.log(_SWAP | _ROW, i, j, 0)
 
     def swap_cols(self, i: int, j: int) -> None:
         if i == j:
             return
         for row in self.a:
             row[i], row[j] = row[j], row[i]
-        if self.v is not None:
-            for row in self.v:
-                row[i], row[j] = row[j], row[i]
-            self.vinv[i], self.vinv[j] = self.vinv[j], self.vinv[i]
+        self.log(_SWAP | _COL, i, j, 0)
 
     def add_row(self, i: int, j: int, q: int) -> None:
         """row_i += q * row_j."""
@@ -345,14 +387,7 @@ class _Worker:
         for k in range(self.cols):
             if aj[k]:
                 ai[k] += q * aj[k]
-        if self.u is not None:
-            ui, uj = self.u[i], self.u[j]
-            for k in range(self.rows):
-                if uj[k]:
-                    ui[k] += q * uj[k]
-            for row in self.uinv:
-                if row[i]:
-                    row[j] -= q * row[i]
+        self.log(_ADD | _ROW, i, j, q)
 
     def add_col(self, j: int, i: int, q: int) -> None:
         """col_j += q * col_i."""
@@ -361,22 +396,12 @@ class _Worker:
         for row in self.a:
             if row[i]:
                 row[j] += q * row[i]
-        if self.v is not None:
-            for row in self.v:
-                if row[i]:
-                    row[j] += q * row[i]
-            vi, vj = self.vinv[i], self.vinv[j]
-            for k in range(self.cols):
-                if vj[k]:
-                    vi[k] -= q * vj[k]
+        self.log(_ADD | _COL, j, i, q)
 
     def negate_col(self, j: int) -> None:
         for row in self.a:
             row[j] = -row[j]
-        if self.v is not None:
-            for row in self.v:
-                row[j] = -row[j]
-            self.vinv[j] = [-x for x in self.vinv[j]]
+        self.log(_NEGATE | _COL, j, j, 0)
 
 
 def _find_min_pivot(a, t, rows, cols):
@@ -394,21 +419,15 @@ def _find_min_pivot(a, t, rows, cols):
     return best[1], best[2]
 
 
-def _find_first_pivot(a, t, rows, cols):
-    for i in range(t, rows):
-        row = a[i]
-        for j in range(t, cols):
-            if row[j] != 0:
-                return i, j
-    return None
-
-
-def _clear_classical(w: _Worker, t: int) -> None:
+def _clear_classical(w: _Worker, t: int) -> bool:
     """Clear row and column ``t`` using division steps, re-picking the
     minimal pivot whenever a remainder survives.  Terminates because the
-    pivot's absolute value strictly decreases on every re-pick."""
+    pivot's absolute value strictly decreases on every re-pick.  Returns
+    ``False``, having done nothing, when the trailing block is zero."""
     while True:
         pos = _find_min_pivot(w.a, t, w.rows, w.cols)
+        if pos is None:
+            return False
         w.swap_rows(t, pos[0])
         w.swap_cols(t, pos[1])
         pivot = w.a[t][t]
@@ -428,58 +447,39 @@ def _clear_classical(w: _Worker, t: int) -> None:
                 if w.a[t][j]:
                     dirty = True
         if not dirty:
-            column_clear = all(w.a[i][t] == 0 for i in range(t + 1, w.rows))
-            row_clear = all(w.a[t][j] == 0 for j in range(t + 1, w.cols))
-            if column_clear and row_clear:
-                return
+            return True
 
 
-def smith_normal_form(m: IntMatrix, track_u: bool = True,
-                      track_v: bool = True) -> SNFResult:
+def smith_normal_form(m: IntMatrix) -> SNFResult:
     """Smith normal form with unimodular transforms.
 
     Each step picks the nonzero entry of minimal absolute value and reduces
     by repeated division (ties broken by position, so the whole computation
-    is deterministic).  Tracking of ``U`` or ``V`` (and their inverses) can
-    be disabled when only the diagonal is needed.
+    is deterministic).  The transforms are built only when read.
     """
-    w = _Worker(m, track_u, track_v)
+    w = _Worker(m)
     limit = min(w.rows, w.cols)
     t = 0
     while t < limit:
-        if _find_first_pivot(w.a, t, w.rows, w.cols) is None:
+        if not _clear_classical(w, t):
             break
-        _clear_classical(w, t)
         # Fold any entry of the trailing block that the pivot does not divide
         # into the pivot's row, then re-clear: this drives the pivot down to
         # the gcd of the whole block, which yields the divisibility chain.
         pivot = w.a[t][t]
-        retry = False
-        for i in range(t + 1, w.rows):
-            row = w.a[i]
-            for j in range(t + 1, w.cols):
-                if row[j] % pivot != 0:
-                    w.add_row(t, i, 1)
-                    retry = True
-                    break
-            if retry:
-                break
-        if retry:
-            continue
-        t += 1
+        fold = None if abs(pivot) == 1 else next(
+            (i for i in range(t + 1, w.rows)
+             if any(x % pivot for x in w.a[i][t + 1:])), None)
+        if fold is None:
+            t += 1
+        else:
+            w.add_row(t, fold, 1)
     for i in range(limit):
         if w.a[i][i] < 0:
             w.negate_col(i)
     diagonal = [w.a[i][i] for i in range(limit)]
-    mk = lambda rows: IntMatrix(len(rows), len(rows[0]) if rows else 0, rows)
-    return SNFResult(
-        d=IntMatrix(w.rows, w.cols, w.a),
-        u=mk(w.u) if w.u is not None else (IntMatrix.identity(0) if track_u else None),
-        v=mk(w.v) if w.v is not None else (IntMatrix.identity(0) if track_v else None),
-        uinv=mk(w.uinv) if w.uinv is not None else (IntMatrix.identity(0) if track_u else None),
-        vinv=mk(w.vinv) if w.vinv is not None else (IntMatrix.identity(0) if track_v else None),
-        diagonal=diagonal,
-    )
+    return SNFResult(IntMatrix(w.rows, w.cols, w.a), diagonal,
+                     (w.ops, w.factors))
 
 
 def sparse_columns(m: IntMatrix) -> List[Dict[int, int]]:
@@ -582,8 +582,7 @@ def elementary_divisors(nrows: int, columns: Sequence[Mapping[int, int]]) -> Lis
     """
     eliminations, _, rest = eliminate_units(nrows, columns)
     units = len(eliminations)
-    nonzero = [d for d in smith_normal_form(rest, track_u=False,
-                                            track_v=False).diagonal if d]
+    nonzero = [d for d in smith_normal_form(rest).diagonal if d]
     zeros = min(nrows, len(columns)) - units - len(nonzero)
     return [1] * units + nonzero + [0] * zeros
 
@@ -637,7 +636,7 @@ class SNFSolver:
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """A basis for the integer kernel ``{x : M x = 0}``, as columns."""
-    snf = smith_normal_form(m, track_u=False, track_v=True)
+    snf = smith_normal_form(m)
     diag = snf.diagonal
     columns = []
     for j in range(m.cols):
@@ -653,7 +652,7 @@ def lattice_basis(m: IntMatrix) -> IntMatrix:
     From ``U M V = D`` the column span of ``M`` equals that of ``U^-1 D``,
     whose nonzero columns are a basis.
     """
-    snf = smith_normal_form(m, track_u=True, track_v=False)
+    snf = smith_normal_form(m)
     columns = []
     for j, d in enumerate(snf.diagonal):
         if d != 0:

@@ -419,7 +419,6 @@ def _tor_one_over(module: ZPiModule, w: OrientationChar,
     r = kernel_cols.cols
     if r == 0:
         return AbelianPresentation.free(0)
-    solver = SNFSolver(kernel_cols)
     gens = group.generating_set()
     twists = []
     coinv_proj = twisted_coinvariants(cover, w).projection.matrix
@@ -428,6 +427,7 @@ def _tor_one_over(module: ZPiModule, w: OrientationChar,
     c = basis.cols
     if c == 0:
         return AbelianPresentation.free(0)
+    solver = SNFSolver(kernel_cols)
     basis_solver = SNFSolver(basis)
     rows = []
     for s in gens:

@@ -61,6 +61,9 @@ def load_document(path: str) -> dict:
     except RecursionError as exc:
         raise ParseError(f"{path}: lists or mappings nested too deeply to "
                          "read") from exc
+    except ValueError as exc:
+        # The interpreter refuses to convert integers of too many digits.
+        raise ParseError(f"{path}: cannot read a number: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a mapping, "
                          f"not {type(doc).__name__}")

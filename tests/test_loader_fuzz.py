@@ -1,5 +1,5 @@
-"""Seeded-random malformed inputs through ``gammalab census``, ``orbit``
-and ``homology --resolution file``.
+"""Seeded-random malformed inputs through ``gammalab census``, ``orbit``,
+``homology --resolution file`` and ``gamma``.
 
 Each census case starts from a valid group, free module and hermitian form
 file and breaks one of them: wrong types, ragged rows, huge sizes, deep
@@ -9,8 +9,12 @@ run through ``gammalab orbit``.  Resolution cases start from the periodic
 resolution of a cyclic group, or the chain resolution of ``Z/3``, and break
 it: ragged or missing boundaries, coefficient vectors of the wrong length,
 negative or huge ranks, deep nesting, and complexes that do not compose to
-zero.  Every such run must exit 2 with an ``error:`` line on stderr and no
-traceback.  Whether a broken table, character, action or complex really
+zero.  Presentation cases start from a small random presentation and give
+it wrong types, booleans or floats, ragged rows, a negative generator
+count, deep nesting, bytes that are not UTF-8, or numbers too long to
+read.  Every such run must exit 2 with an ``error:`` line on stderr and no
+traceback; a well-formed presentation above the work budget must exit 1
+with an ``error:`` line.  Whether a broken table, character, action or complex really
 fails its law is decided here, from the definitions, before the case is
 used.
 """
@@ -417,3 +421,135 @@ def test_malformed_resolution_exits_two(kind, tmp_path, capsys):
         text = RESOLUTION_KINDS[kind](rng, name, doc) or json.dumps(doc)
         argv = homology_argv(tmp_path, name, text, rng.randrange(5))
         assert_input_error(argv, capsys, (kind, case, text[:200]))
+
+
+# -- presentations through ``gammalab gamma`` ---------------------------------
+
+
+def valid_presentation(rng):
+    ngens = rng.randint(1, 5)
+    return {"ngens": ngens,
+            "relations": [[rng.randint(-6, 6) for _ in range(ngens)]
+                          for _ in range(rng.randint(0, 4))]}
+
+
+def some_relation(rng, doc):
+    if not doc["relations"]:
+        doc["relations"].append([rng.randint(-6, 6)
+                                 for _ in range(doc["ngens"])])
+    return rng.choice(doc["relations"])
+
+
+def presentation_wrong_type(rng, doc):
+    """The generator count, the relation list, a row or an entry replaced
+    by a value of another type."""
+    row = some_relation(rng, doc)
+    parent, key = rng.choice([(doc, "ngens"), (doc, "relations"),
+                              (doc["relations"],
+                               rng.randrange(len(doc["relations"]))),
+                              (row, rng.randrange(len(row)))])
+    parent[key] = other_type(rng, parent[key])
+
+
+def presentation_bool_or_float(rng, doc):
+    """The generator count or an entry given as a boolean or a float."""
+    value = rng.choice([True, False, 2.0, 0.5, -1.0, 1e300])
+    if rng.random() < 0.3:
+        doc["ngens"] = value
+    else:
+        row = some_relation(rng, doc)
+        row[rng.randrange(len(row))] = value
+
+
+def presentation_ragged(rng, doc):
+    row = some_relation(rng, doc)
+    if rng.random() < 0.5:
+        row.pop()
+    else:
+        row.append(rng.randint(-1, 1))
+
+
+def presentation_negative_ngens(rng, doc):
+    doc["ngens"] = -rng.randint(1, 10 ** rng.randint(1, 30))
+
+
+def presentation_deep(rng, doc):
+    nested = "[" * 10 ** 5 + "]" * 10 ** 5
+    if rng.random() < 0.5:
+        return nested
+    return '{"ngens": %d, "relations": %s}' % (doc["ngens"], nested)
+
+
+def presentation_not_utf8(rng, doc):
+    text = json.dumps(doc).encode("utf-8")
+    cut = rng.randrange(len(text) + 1)
+    return text[:cut] + rng.choice([b"\xff", b"\xc3\x28", b"\x80",
+                                    b"\xed\xa0\x80"]) + text[cut:]
+
+
+def presentation_long_number(rng, doc):
+    """An entry with more digits than the interpreter converts."""
+    row = some_relation(rng, doc)
+    digits = rng.randint(4301, 6000)
+    row[rng.randrange(len(row))] = "@"
+    return json.dumps(doc).replace('"@"', "7" * digits)
+
+
+PRESENTATION_KINDS = {"wrong_type": presentation_wrong_type,
+                      "bool_or_float": presentation_bool_or_float,
+                      "ragged": presentation_ragged,
+                      "negative_ngens": presentation_negative_ngens,
+                      "deep": presentation_deep,
+                      "not_utf8": presentation_not_utf8,
+                      "long_number": presentation_long_number}
+
+
+def gamma_argv(tmp_path, text, structured):
+    path = tmp_path / "presentation.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+    return ["gamma", str(path)] + (["--format", "structured"]
+                                   if structured else [])
+
+
+def test_valid_presentations_pass_gamma(tmp_path, capsys):
+    rng = random.Random(143)
+    for _ in range(CASES_PER_KIND):
+        argv = gamma_argv(tmp_path, json.dumps(valid_presentation(rng)),
+                          rng.random() < 0.5)
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out and err == ""
+
+
+@pytest.mark.parametrize("kind", sorted(PRESENTATION_KINDS))
+def test_malformed_presentation_exits_two(kind, tmp_path, capsys):
+    rng = random.Random(f"presentation-fuzz-{kind}")
+    for case in range(CASES_PER_KIND):
+        doc = valid_presentation(rng)
+        text = PRESENTATION_KINDS[kind](rng, doc) or json.dumps(doc)
+        argv = gamma_argv(tmp_path, text, rng.random() < 0.5)
+        assert_input_error(argv, capsys, (kind, case, text[:200]))
+
+
+def test_presentation_above_budget_exits_one(tmp_path, capsys):
+    """Well-formed presentations too large for the default budget: many
+    generators with no relations, or many relation rows."""
+    rng = random.Random(144)
+    for case in range(CASES_PER_KIND):
+        if case % 2:
+            doc = {"ngens": rng.randint(10 ** 3, 10 ** 30), "relations": []}
+        else:
+            ngens = rng.randint(10, 12)
+            doc = {"ngens": ngens,
+                   "relations": [[rng.randint(-3, 3) for _ in range(ngens)]
+                                 for _ in range(rng.randint(500, 800))]}
+        code = cli.main(gamma_argv(tmp_path, json.dumps(doc),
+                                   rng.random() < 0.5))
+        out, err = capsys.readouterr()
+        assert code == 1, (case, err)
+        assert out == ""
+        assert any(line.startswith("error: ") for line in err.splitlines())
+        assert "Traceback" not in err

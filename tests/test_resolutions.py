@@ -12,12 +12,14 @@ from gammalab.builtins import (
     cyclic_group,
     klein_four_group,
     quaternion_group,
+    standard_library,
     symmetric_group_3,
     trivial_group,
 )
 from gammalab.errors import BudgetExceededError, IncompatibleInputError, \
     UnsupportedInputError
 from gammalab.groups import OrientationChar, all_characters
+from gammalab.homology import MAX_DEGREE
 from gammalab.resolutions import (
     DEFAULT_BUDGET,
     Resolution,
@@ -27,6 +29,7 @@ from gammalab.resolutions import (
     periodic_generator,
     periodic_resolution,
     resolution_cost,
+    twisted_chain_columns,
 )
 
 
@@ -111,16 +114,34 @@ def test_twisted_matrix_is_signed_coefficient_sum():
 
 
 def test_twisted_complexes_compose_to_zero():
+    """Every twisted complex the package builds for itself is a chain
+    complex: homology relies on this and does not check it per query."""
     cases = [
         (periodic_resolution(cyclic_group(6), 5), cyclic_group(6)),
         (chain_resolution(cyclic_group(4), 4), cyclic_group(4)),
         (chain_resolution(klein_four_group(), 3), klein_four_group()),
     ]
+    cases += [(periodic_resolution(group, MAX_DEGREE + 1), group)
+              for group in standard_library().values() if group.is_cyclic()]
     for res, group in cases:
         for w in all_characters(group):
             for k in range(2, res.length + 1):
                 prod = res.twisted_matrix(k - 1, w).mul(res.twisted_matrix(k, w))
                 assert prod.is_zero()
+    # The sparse bar differentials behind group_homology, in every degree
+    # it reads (d_k and d_{k+1} for k <= MAX_DEGREE).
+    for name, group in sorted(standard_library().items()):
+        for w in all_characters(group):
+            d_out = twisted_chain_columns(group, w, 1)
+            for k in range(2, MAX_DEGREE + 2):
+                d_in = twisted_chain_columns(group, w, k)
+                for column in d_in:
+                    image = {}
+                    for i, c in column.items():
+                        for r, v in d_out[i].items():
+                            image[r] = image.get(r, 0) + c * v
+                    assert not any(image.values()), (name, w.values, k)
+                d_out = d_in
 
 
 def test_underlying_matrix_shapes():

@@ -5,6 +5,7 @@ the divisibility chain) exactly on every case; nothing is sampled down to a
 tolerance.  Hand-checkable matrices pin the expected diagonals.
 """
 
+import itertools
 import random
 
 import pytest
@@ -176,12 +177,27 @@ def test_snf_diagonal_product_matches_det():
         assert product == abs(det(m))
 
 
-def test_snf_tracking_can_be_disabled():
-    m = IntMatrix(2, 2, [[2, 4], [6, 8]])
-    result = smith_normal_form(m, track_u=False, track_v=False)
-    assert result.diagonal == [2, 4]
-    assert result.u is None and result.v is None
-    assert result.uinv is None and result.vinv is None
+def test_snf_transforms_read_in_any_order_and_subset():
+    """Each transform is built from the operation log on first read; which
+    ones are read, and in what order, changes none of them."""
+    rng = random.Random(21)
+    names = ("u", "uinv", "v", "vinv")
+    matrices = [IntMatrix(0, 3), IntMatrix(3, 0), IntMatrix(0, 0),
+                IntMatrix(3, 4), IntMatrix(4, 2)]
+    matrices += [random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6),
+                               -9, 9) for _ in range(10)]
+    for m in matrices:
+        expected = smith_normal_form(m)
+        reference = {name: getattr(expected, name) for name in names}
+        for size in range(len(names) + 1):
+            for order in itertools.permutations(names, size):
+                result = smith_normal_form(m)
+                for name in order:
+                    assert getattr(result, name) == reference[name], (m, order)
+                assert result.diagonal == expected.diagonal
+                assert result.u.mul(m).mul(result.v) == result.d
+                assert result.u.mul(result.uinv) == IntMatrix.identity(m.rows)
+                assert result.v.mul(result.vinv) == IntMatrix.identity(m.cols)
 
 
 # -- solver -----------------------------------------------------------------

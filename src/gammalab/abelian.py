@@ -23,7 +23,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import IncompatibleInputError
 from .intmat import (IntMatrix, bezout_combination, elementary_divisors,
-                     smith_normal_form, sparse_columns)
+                     smith_normal_form)
 
 
 def format_invariants(rank: int, factors: Sequence[int]) -> str:
@@ -137,7 +137,9 @@ class AbelianPresentation:
         """Return ``(free_rank, torsion_factors)`` with each factor >= 2 and
         dividing the next."""
         if self._invariants is None:
-            rows = sparse_columns(self.relations.transpose())
+            # The relation rows are the columns of the transposed matrix.
+            rows = [{j: v for j, v in enumerate(row) if v}
+                    for row in self.relations.data]
             nonzero = [d for d in elementary_divisors(self.ngens, rows) if d]
             rank = self.ngens - len(nonzero)
             torsion = tuple(d for d in nonzero if d >= 2)

@@ -22,7 +22,6 @@ import os
 import sys
 from typing import Dict, List, Optional
 
-from .abelian import AbelianPresentation
 from .classify import (QuadraticTwoType, census, module_census)
 from .errors import (BudgetExceededError, GammaLabError,
                      GroupValidationError, IncompatibleInputError,
@@ -180,10 +179,11 @@ def _load_resolution_choice(args, group) -> Optional[Resolution]:
     return None
 
 
-def _presentation_doc(pres: AbelianPresentation) -> Dict:
-    rank, torsion = pres.invariant_factors()
+def _presentation_doc(value) -> Dict:
+    """Invariants of an abelian presentation or a functor value."""
+    rank, torsion = value.invariant_factors()
     return {"rank": rank, "torsion": list(torsion),
-            "description": pres.describe()}
+            "description": value.describe()}
 
 
 def _emit(args, table_lines: List[str], doc: Dict) -> None:
@@ -201,7 +201,7 @@ def cmd_gamma(args) -> int:
     doc_in = load_document(args.presentation)
     pres = parse_presentation(doc_in, origin=args.presentation)
     value = quadratic_value(pres, budget=_resolve_budget(args))
-    lines = [f"Gamma = {value.presentation.describe()}"]
+    lines = [f"Gamma = {value.describe()}"]
     basis: Optional[List[str]] = None
     if not pres.has_explicit_relations():
         basis = basis_labels(pres.ngens)
@@ -210,7 +210,7 @@ def cmd_gamma(args) -> int:
     _emit(args, lines, {
         "input": {"ngens": pres.ngens,
                   "relations": [list(r) for r in doc_in.get("relations", [])]},
-        "gamma": _presentation_doc(value.presentation),
+        "gamma": _presentation_doc(value),
         "basis": basis,
     })
     return 0
@@ -435,6 +435,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except GammaLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        # The interpreter refuses to write an integer longer than its limit
+        # as text.  Inputs that long are refused on load, so here it is an
+        # answer that grew past the limit while being printed.
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: the answer holds an integer of more than "
+              f"{sys.get_int_max_str_digits()} digits, the longest the "
+              "interpreter writes as text", file=sys.stderr)
         return 1
 
 

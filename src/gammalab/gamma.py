@@ -6,7 +6,8 @@ On a free group ``Z^n`` the functor yields a free group of rank
 polarized product of the i-th and j-th.  A presented group is handled by
 presenting the functor value: squares and polarizations of relation vectors
 against everything generate exactly the needed relations.  Its invariants
-come in closed form from the invariants of the input.
+come in closed form from the invariants of the input, so those relation
+rows are written only when a caller reads the presentation.
 
 The whole construction is functorial, and a symmetric integer matrix
 corresponds to a unique element here (squares on the diagonal, ``w_ij``
@@ -17,9 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from .abelian import AbelianHom, AbelianPresentation, cyclic_invariants
+from .abelian import (AbelianHom, AbelianPresentation, cyclic_invariants,
+                      format_invariants)
 from .errors import (BudgetExceededError, IncompatibleInputError,
                      UnsupportedInputError)
 from .intmat import IntMatrix
@@ -105,37 +108,60 @@ def induced_matrix(f: IntMatrix) -> IntMatrix:
 class QuadraticValue:
     """The functor value on a presented abelian group.
 
-    ``source_generators`` is the generator count of the input presentation;
-    ``presentation`` presents the value on ``gamma_rank(source_generators)``
-    generators.
+    ``source`` is the input presentation and ``invariants`` the invariants
+    of the value, in closed form from those of the input.  ``presentation``
+    presents the value on ``gamma_rank(source.ngens)`` generators; its
+    relation rows are written on first read and kept.
     """
 
-    source_generators: int
-    presentation: AbelianPresentation
+    source: AbelianPresentation
+    invariants: Tuple[int, Tuple[int, ...]]
 
     def invariant_factors(self) -> Tuple[int, Tuple[int, ...]]:
-        return self.presentation.invariant_factors()
+        return self.invariants
 
     def describe(self) -> str:
-        return self.presentation.describe()
+        return format_invariants(*self.invariants)
+
+    @cached_property
+    def presentation(self) -> AbelianPresentation:
+        """Relations: the square of each input relation vector and its
+        polarization against each generator, which generate all relations."""
+        n = self.source.ngens
+        rank = gamma_rank(n)
+        start = _pair_starts(n)
+        rows: List[List[int]] = []
+        for rel in self.source.relations.data:
+            rows.append(expand_square(rel))
+            # The polarization against e_j: 2 rel_j on v_j, rel_k on w_kj.
+            for j in range(n):
+                row = [0] * rank
+                row[j] = 2 * rel[j]
+                for k in range(j):
+                    row[start[k] + j] = rel[k]
+                for k in range(j + 1, n):
+                    row[start[j] + k] = rel[k]
+                rows.append(row)
+        return AbelianPresentation.from_relation_rows(
+            rank, rows, invariants=self.invariants)
 
 
 def quadratic_value(a: AbelianPresentation,
                     budget: Optional[int] = DEFAULT_BUDGET) -> QuadraticValue:
-    """Present the functor value on a presented abelian group.
+    """The functor value on a presented abelian group, with its invariants.
 
-    Relations: the square of each input relation vector, and its polarization
-    against each generator.  These generate the full relation subgroup.
+    The invariants are not read off the relations of the value.  By
+    functoriality the value is that of the Smith diagonal
+    ``Z^r + Z/d_1 + ... + Z/d_k`` of the input, whose relations each have
+    one nonzero entry: ``Z/(d_i gcd(d_i, 2))`` on ``v_i``, ``Z/gcd(d_i, d_j)``
+    on ``w_ij`` (``Z/d_i`` against a free generator), and ``Z`` on the
+    ``r(r+1)/2`` squares and products of free generators.  The relation rows
+    of :attr:`QuadraticValue.presentation` are written only when a caller
+    reads it.
 
-    The invariants are not read off these relations.  By functoriality the
-    value is that of the Smith diagonal ``Z^r + Z/d_1 + ... + Z/d_k`` of the
-    input, whose relations each have one nonzero entry: ``Z/(d_i gcd(d_i, 2))``
-    on ``v_i``, ``Z/gcd(d_i, d_j)`` on ``w_ij`` (``Z/d_i`` against a free
-    generator), and ``Z`` on the ``r(r+1)/2`` squares and products of free
-    generators.
-
-    ``budget`` bounds the size of the presentation, its rank times one more
-    than its relation count; ``None`` removes the bound.
+    ``budget`` bounds the size of that presentation, its rank times one more
+    than its relation count, whether or not it is read; ``None`` removes the
+    bound.
     """
     n = a.ngens
     rank = gamma_rank(n)
@@ -147,27 +173,12 @@ def quadratic_value(a: AbelianPresentation,
             f"{n} generators and {a.relations.rows} relations: rank {rank}, "
             f"{nrows} relation rows); raise the budget or use a smaller "
             f"presentation")
-    start = _pair_starts(n)
-    rows: List[List[int]] = []
-    for rel in a.relations.data:
-        rows.append(expand_square(rel))
-        # The polarization against e_j: 2 rel_j on v_j, rel_k on w_kj.
-        for j in range(n):
-            row = [0] * rank
-            row[j] = 2 * rel[j]
-            for k in range(j):
-                row[start[k] + j] = rel[k]
-            for k in range(j + 1, n):
-                row[start[j] + k] = rel[k]
-            rows.append(row)
     free, torsion = a.invariant_factors()
     orders: List[int] = []
     for i, d in enumerate(torsion):
         orders.append(d * math.gcd(d, 2))
         orders += [d] * (len(torsion) - 1 - i + free)
-    presentation = AbelianPresentation.from_relation_rows(
-        rank, rows, invariants=cyclic_invariants(gamma_rank(free), orders))
-    return QuadraticValue(n, presentation)
+    return QuadraticValue(a, cyclic_invariants(gamma_rank(free), orders))
 
 
 def induced_hom(f: AbelianHom) -> AbelianHom:

@@ -38,10 +38,6 @@ class GoldenCheck:
         return self.expected == self.computed
 
 
-def _describe(invariants: Tuple[int, Tuple[int, ...]]) -> str:
-    return format_invariants(*invariants)
-
-
 def _load_bundled_groups() -> Dict[str, Tuple[FiniteGroup, Dict[str, OrientationChar]]]:
     return {name: load_group(bundled_path("group", name))
             for name in bundled_names("group")}
@@ -61,22 +57,19 @@ def run_golden_suite() -> List[GoldenCheck]:
     checks.append(GoldenCheck(
         label="functor value of Z/2",
         expected="Z/4",
-        computed=_describe(quadratic_value(
-            AbelianPresentation.from_relation_rows(1, [[2]])
-        ).presentation.invariant_factors())))
+        computed=quadratic_value(
+            AbelianPresentation.from_relation_rows(1, [[2]])).describe()))
     for n in range(1, 6):
         checks.append(GoldenCheck(
             label=f"functor value of Z^{n} is free of rank {gamma_rank(n)}",
             expected=format_invariants(gamma_rank(n), ()),
-            computed=_describe(quadratic_value(
-                AbelianPresentation.free(n)).presentation.invariant_factors())))
+            computed=quadratic_value(AbelianPresentation.free(n)).describe()))
 
     # Coinvariant torsion of the regular module over Z/2, twisted.
     checks.append(GoldenCheck(
         label="obstruction torsion of the twisted regular module over Z/2",
         expected="Z/2",
-        computed=_describe(obstruction_torsion(
-            z2, w_tw, free_module(z2, 1)).invariant_factors())))
+        computed=obstruction_torsion(z2, w_tw, free_module(z2, 1)).describe()))
 
     # The split module Z + Z^- over Z/2: coinvariants and count.
     split_module = load_module(bundled_path("module", "z2_z_plus_ztwist"), z2)

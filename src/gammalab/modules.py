@@ -259,7 +259,9 @@ def twisted_coinvariants(module: ZPiModule, w: OrientationChar,
     projection and section.
 
     ``budget`` bounds the work estimate of :func:`check_coinvariants_budget`
-    before anything is built; ``None`` removes the bound.
+    before anything is built, and on the orbit route, once the ``k`` orbits
+    of the ``n`` basis vectors are known, the ``k·n`` entries of the dense
+    projection and section; ``None`` removes the bound.
     """
     _check_same_group(module, w)
     signed = (module.table is not None
@@ -267,7 +269,7 @@ def twisted_coinvariants(module: ZPiModule, w: OrientationChar,
     check_coinvariants_budget(module.group, module.underlying.ngens,
                               module.underlying.relations.rows, signed, budget)
     if signed:
-        return _coinvariants_by_orbits(module, w)
+        return _coinvariants_by_orbits(module, w, budget)
     n = module.underlying.ngens
     rows = [list(module.underlying.relations.row(r))
             for r in range(module.underlying.relations.rows)]
@@ -301,8 +303,8 @@ def check_coinvariants_budget(group: FiniteGroup, ngens: int,
             f"{budget}; raise the budget or use a smaller module")
 
 
-def _coinvariants_by_orbits(module: ZPiModule,
-                            w: OrientationChar) -> CoinvariantsResult:
+def _coinvariants_by_orbits(module: ZPiModule, w: OrientationChar,
+                            budget: Optional[int]) -> CoinvariantsResult:
     n = module.underlying.ngens
     orbit = [-1] * n
     sign = [0] * n
@@ -322,6 +324,11 @@ def _coinvariants_by_orbits(module: ZPiModule,
         firsts.append(x)
         orders.append(order)
     k = len(firsts)
+    if budget is not None and k * n > budget:
+        raise BudgetExceededError(
+            f"twisted coinvariants projection of {k} orbits by {n} basis "
+            f"vectors ({k * n} entries) exceeds budget {budget}; raise the "
+            "budget or use a smaller module")
     proj = IntMatrix.zeros(k, n)
     for y in range(n):
         proj.data[orbit[y]][y] = sign[y]

@@ -55,6 +55,7 @@ from gammalab.classify import (
     underlying_symmetric_matrix,
 )
 from gammalab.errors import (
+    BudgetExceededError,
     IncompatibleInputError,
     SingularFormError,
     UnsupportedInputError,
@@ -764,6 +765,36 @@ def test_module_census_on_split_module():
     assert report.count == 4
     assert report.torsion_matches_involution_formula is None
     assert report.lambda_class is None
+
+
+def test_module_census_refuses_orbit_projection_over_budget(tmp_path,
+                                                            capsys):
+    """The trivial module of rank 80 over the trivial group passes the
+    first estimate (functor value rank 3,240 times order 1), but its 3,240
+    orbits need a 3,240 x 3,240 projection."""
+    group = trivial_group()
+    w = OrientationChar.trivial(group)
+    with pytest.raises(BudgetExceededError,
+                       match="3240 orbits by 3240 basis vectors"):
+        module_census(group, w, trivial_module(group, 80))
+    module = tmp_path / "m.json"
+    module.write_text(json.dumps({"ngens": 80, "action": {
+        "0": IntMatrix.identity(80).data}}))
+    code = cli.main(["census", "--group", "trivial", "--module", str(module)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "3240 orbits" in err
+
+
+def test_orbit_projection_budget_admits_every_bundled_small_case():
+    """Every bundled group and character at rank <= 3, and d4 at rank 4
+    (about 76 orbits of 528 basis vectors), stay within the default budget."""
+    for name, group in sorted(standard_library().items()):
+        for w in all_characters(group):
+            for rank in (1, 2, 3, 4) if name == "d4" else (1, 2, 3):
+                report = module_census(group, w, free_module(group, rank))
+                assert report.count == 2 ** (
+                    involution_rank_formula(group, w) * rank), (name, rank)
 
 
 def test_census_count_is_torsion_order():

@@ -9,6 +9,9 @@ the plain character counts one primitive class with functional [0, 0, 1].
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,6 +102,20 @@ def test_gamma_budget_refuses_huge_input_first(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GAMMALAB_BUDGET", "3")
     code, out, _ = run_cli(capsys, ["gamma", small])
     assert code == 0 and out == "Gamma = Z/4\n"
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path, capsys):
+    pres = write_json(tmp_path, "p.json", {"ngens": 2, "relations": [[2, 4]]})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-m", "gammalab", "gamma", pres],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    code, out, err = run_cli(capsys, ["gamma", pres])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert out == "Gamma = Z + Z/2 + Z/4\n"
 
 
 # -- coinvariants and tor1 ----------------------------------------------------

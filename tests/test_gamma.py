@@ -10,12 +10,14 @@ square-expansion coordinates exactly.
 """
 
 import itertools
+import json
 import random
 
 import pytest
 
+from gammalab import cli, golden
 from gammalab.abelian import AbelianHom, AbelianPresentation, tensor_product
-from gammalab.errors import BudgetExceededError
+from gammalab.errors import BudgetExceededError, IncompatibleInputError
 from gammalab.gamma import (
     basis_labels,
     expand_square,
@@ -30,6 +32,7 @@ from gammalab.gamma import (
     value_of_symmetric_matrix,
 )
 from gammalab.intmat import IntMatrix
+from test_gamma_differential import reference_rows, scrambled
 
 
 # -- independent element-level oracle ---------------------------------------
@@ -370,3 +373,77 @@ def test_value_budget_counts_rank_times_relation_rows():
         == "Z^10"
     with pytest.raises(BudgetExceededError):
         quadratic_value(AbelianPresentation.free(4), budget=9)
+
+
+# -- relation rows written on first read --------------------------------------
+
+
+def test_invariants_and_description_build_no_rows():
+    rng = random.Random(907)
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        a = AbelianPresentation.from_relation_rows(n, scrambled(rng, n))
+        value = quadratic_value(a)
+        value.invariant_factors()
+        value.describe()
+        assert "presentation" not in vars(value)
+
+
+def test_first_read_writes_the_reference_rows_once():
+    rng = random.Random(908)
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        a = AbelianPresentation.from_relation_rows(n, scrambled(rng, n))
+        value = quadratic_value(a)
+        presentation = value.presentation
+        assert presentation.ngens == gamma_rank(n)
+        assert presentation.relations.data == reference_rows(a)
+        assert presentation.invariant_factors() == value.invariant_factors()
+        assert value.presentation is presentation
+
+
+def recording_quadratic_value(monkeypatch, module):
+    """Patch ``module.quadratic_value`` to keep every value it returns."""
+    values = []
+
+    def record(*args, **kwargs):
+        values.append(quadratic_value(*args, **kwargs))
+        return values[-1]
+
+    monkeypatch.setattr(module, "quadratic_value", record)
+    return values
+
+
+@pytest.mark.parametrize("structured", [False, True])
+def test_gamma_command_builds_no_rows(structured, tmp_path, capsys,
+                                      monkeypatch):
+    values = recording_quadratic_value(monkeypatch, cli)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"ngens": 3, "relations": [[2, 4, 0],
+                                                          [0, 6, 3]]}))
+    argv = ["gamma", str(path)] + (["--format", "structured"]
+                                   if structured else [])
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    text = json.loads(out)["gamma"]["description"] if structured else out
+    assert values[0].describe() == "Z + Z/6 + Z/12"
+    assert values[0].describe() in text
+    assert len(values) == 1 and "presentation" not in vars(values[0])
+
+
+def test_verify_paper_builds_no_rows(capsys, monkeypatch):
+    values = recording_quadratic_value(monkeypatch, golden)
+    assert cli.main(["verify-paper"]) == 0
+    capsys.readouterr()
+    assert values
+    assert all("presentation" not in vars(value) for value in values)
+
+
+def test_induced_hom_rejects_a_map_that_is_not_well_defined():
+    # 1 -> 1 from Z/2 to Z/3 is not a homomorphism; on the functor values
+    # Z/4 -> Z/3 it sends the relation 4 v to 4 v, nonzero in Z/3.
+    f = AbelianHom(AbelianPresentation.cyclic(2),
+                   AbelianPresentation.cyclic(3), IntMatrix(1, 1, [[1]]),
+                   check=False)
+    with pytest.raises(IncompatibleInputError, match="not well defined"):
+        induced_hom(f)

@@ -13,8 +13,9 @@ zero.  Presentation cases start from a small random presentation and give
 it wrong types, booleans or floats, ragged rows, a negative generator
 count, deep nesting, bytes that are not UTF-8, or numbers too long to
 read.  Every such run must exit 2 with an ``error:`` line on stderr and no
-traceback; a well-formed presentation above the work budget must exit 1
-with an ``error:`` line.  Whether a broken table, character, action or complex really
+traceback; a well-formed presentation above the work budget, or one whose
+answer holds an integer too long to print, must exit 1 with an ``error:``
+line.  Whether a broken table, character, action or complex really
 fails its law is decided here, from the definitions, before the case is
 used.
 """
@@ -532,6 +533,22 @@ def test_malformed_presentation_exits_two(kind, tmp_path, capsys):
         text = PRESENTATION_KINDS[kind](rng, doc) or json.dumps(doc)
         argv = gamma_argv(tmp_path, text, rng.random() < 0.5)
         assert_input_error(argv, capsys, (kind, case, text[:200]))
+
+
+@pytest.mark.parametrize("structured", [False, True])
+def test_answer_too_long_to_print_exits_one(structured, tmp_path, capsys):
+    """Inputs within the interpreter's 4,300-digit limit whose answer is
+    not: Z/d with d = 8 * 10**4299 has the value Z/(2d), of 4,301 digits,
+    and Z + Z/d the value Z + Z/d + Z/(2d)."""
+    d = "8" + "0" * 4299
+    for text in ('{"ngens": 1, "relations": [[%s]]}' % d,
+                 '{"ngens": 2, "relations": [[0, %s]]}' % d):
+        code = cli.main(gamma_argv(tmp_path, text, structured))
+        out, err = capsys.readouterr()
+        assert code == 1, err
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than 4300 digits" in err and "Traceback" not in err
 
 
 def test_presentation_above_budget_exits_one(tmp_path, capsys):

@@ -29,8 +29,7 @@ from .groups import (DEFAULT_AUT_CAP, FiniteGroup, GroupRingElement,
                      build_group, central_involutions, norm_element,
                      subgroup_and_cosets)
 from .homology import (MAX_DEGREE, OrbitReport, group_homology,
-                       homology_orbits, induced_homology_maps,
-                       resolution_for)
+                       homology_orbits, induced_homology_maps)
 from .intmat import IntMatrix, SNFResult, SNFSolver, smith_normal_form
 from .modules import (CoinvariantsResult, ZPiModule, direct_sum_module,
                       free_module, induced_coinvariants_map,

@@ -24,8 +24,7 @@ from .groups import (FiniteGroup, GroupRingElement, OrientationChar,
 from .homology import group_homology
 from .intmat import IntMatrix, det
 from .modules import (CoinvariantsResult, ZPiModule, check_coinvariants_budget,
-                      free_module, norm_quotient_module, tor_one,
-                      twisted_coinvariants)
+                      free_module, twisted_coinvariants)
 from .resolutions import DEFAULT_BUDGET, Resolution
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
     "involution_rank_formula",
     "TwoTypeHomologySplit",
     "h4_twotype_split",
-    "NormQuotientFacts",
-    "norm_quotient_facts",
     "CensusReport",
     "census",
     "module_census",
@@ -453,31 +450,6 @@ class CensusReport:
     form_matrix: Optional[List[List[GroupRingElement]]] = None
 
 
-@dataclass
-class NormQuotientFacts:
-    """Twisted coinvariants and first derived functor of the norm quotient,
-    each with whether it takes its expected value: cyclic of the group order
-    (trivial for the trivial group) and trivial."""
-
-    coinvariants: AbelianPresentation
-    tor: AbelianPresentation
-    cyclic_of_group_order: bool
-    tor_trivial: bool
-
-
-def norm_quotient_facts(group: FiniteGroup,
-                        w: OrientationChar) -> NormQuotientFacts:
-    nq = norm_quotient_module(group, w)
-    coinv = twisted_coinvariants(nq, w).presentation
-    # Sized by the group alone: census budgets bound the module's work.
-    tor = tor_one(nq, w, budget=None)
-    expected = (0, ()) if group.order == 1 else (0, (group.order,))
-    return NormQuotientFacts(
-        coinvariants=coinv, tor=tor,
-        cyclic_of_group_order=coinv.invariant_factors() == expected,
-        tor_trivial=tor.invariant_factors() == (0, ()))
-
-
 def census(q: QuadraticTwoType,
            budget: Optional[int] = DEFAULT_BUDGET) -> CensusReport:
     """Full counting report for a two-type: coinvariants and their torsion,
@@ -487,35 +459,7 @@ def census(q: QuadraticTwoType,
     if not check_hermitian(q.form):
         raise IncompatibleInputError(
             "the form matrix is not hermitian for the twisted involution")
-    group, w = q.group, q.w
-    coinv = gamma_coinvariants(q.pi2, w, budget)
-    torsion, _ = coinv.presentation.torsion_part()
-    # lambda_to_gamma without its second hermitian check.
-    gamma_coords = value_of_symmetric_matrix(underlying_symmetric_matrix(q.form))
-    cls = coinv.projection.apply(gamma_coords)
-    functional = coinv.presentation.functional_hitting_one(cls)
-    if functional is not None:
-        functional = coinv.projection.matrix.vec_mat(functional)
-    r = involution_rank_formula(group, w)
-    k = q.pi2.zpi_free_rank
-    matches = (torsion.invariant_factors() == (0, (2,) * (r * k)))
-    facts = norm_quotient_facts(group, w)
-    return CensusReport(
-        group_order=group.order,
-        free_rank=k,
-        coinvariants=coinv.presentation,
-        torsion=torsion,
-        count=torsion.torsion_order(),
-        involution_rank=r,
-        torsion_matches_involution_formula=matches,
-        norm_quotient_coinvariants=facts.coinvariants,
-        norm_quotient_is_cyclic_of_group_order=facts.cyclic_of_group_order,
-        norm_quotient_tor_trivial=facts.tor_trivial,
-        lambda_class=gamma_coords,
-        lambda_primitive=coinv.presentation.is_primitive_mod_torsion(cls),
-        kappa_functional=functional,
-        form_matrix=[row[:] for row in q.form.matrix],
-    )
+    return _report(q.group, q.w, q.pi2, budget, q.form)
 
 
 def module_census(group: FiniteGroup, w: OrientationChar, pi2: ZPiModule,
@@ -525,6 +469,11 @@ def module_census(group: FiniteGroup, w: OrientationChar, pi2: ZPiModule,
     the module is free over the group ring."""
     if pi2.group is not group:
         raise IncompatibleInputError("module belongs to a different group")
+    return _report(group, w, pi2, budget, None)
+
+
+def _report(group: FiniteGroup, w: OrientationChar, pi2: ZPiModule,
+            budget: Optional[int], form: Optional[HermitianForm]) -> CensusReport:
     coinv = gamma_coinvariants(pi2, w, budget)
     torsion, _ = coinv.presentation.torsion_part()
     r = involution_rank_formula(group, w)
@@ -532,8 +481,11 @@ def module_census(group: FiniteGroup, w: OrientationChar, pi2: ZPiModule,
     matches = None
     if k is not None:
         matches = (torsion.invariant_factors() == (0, (2,) * (r * k)))
-    facts = norm_quotient_facts(group, w)
-    return CensusReport(
+    # For N = sum w(g) g, g.N = w(g) N, so ZG.N is Z^w, with coinvariants Z,
+    # and N maps to sum w(g)^2 = |G| in the coinvariants Z of ZG.  Then
+    # 0 -> Z^w -> ZG -> ZG/ZG.N -> 0 gives coinvariants Z/|G| and, as
+    # Tor_1(ZG) = 0 and |G| != 0, Tor_1 = 0.  verify-paper recomputes both.
+    report = CensusReport(
         group_order=group.order,
         free_rank=k,
         coinvariants=coinv.presentation,
@@ -541,10 +493,23 @@ def module_census(group: FiniteGroup, w: OrientationChar, pi2: ZPiModule,
         count=torsion.torsion_order(),
         involution_rank=r,
         torsion_matches_involution_formula=matches,
-        norm_quotient_coinvariants=facts.coinvariants,
-        norm_quotient_is_cyclic_of_group_order=facts.cyclic_of_group_order,
-        norm_quotient_tor_trivial=facts.tor_trivial,
+        norm_quotient_coinvariants=AbelianPresentation.from_factors(
+            0, [group.order] if group.order > 1 else []),
+        norm_quotient_is_cyclic_of_group_order=True,
+        norm_quotient_tor_trivial=True,
     )
+    if form is not None:
+        # lambda_to_gamma without its second hermitian check.
+        gamma_coords = value_of_symmetric_matrix(underlying_symmetric_matrix(form))
+        cls = coinv.projection.apply(gamma_coords)
+        functional = coinv.presentation.functional_hitting_one(cls)
+        if functional is not None:
+            functional = coinv.projection.matrix.vec_mat(functional)
+        report.lambda_class = gamma_coords
+        report.lambda_primitive = coinv.presentation.is_primitive_mod_torsion(cls)
+        report.kappa_functional = functional
+        report.form_matrix = [row[:] for row in form.matrix]
+    return report
 
 
 def random_unimodular_ring_matrix(group: FiniteGroup, rank: int,

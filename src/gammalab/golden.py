@@ -15,11 +15,11 @@ from typing import Callable, Dict, List, Tuple
 from .abelian import AbelianPresentation, format_invariants
 from .classify import (QuadraticTwoType, census, check_hermitian,
                        h4_twotype_split, involution_rank_formula,
-                       kappa_splitting, module_census, norm_quotient_facts,
-                       obstruction_torsion)
+                       kappa_splitting, module_census, obstruction_torsion)
 from .gamma import gamma_rank, quadratic_value
 from .groups import FiniteGroup, OrientationChar, all_characters
-from .modules import free_module
+from .modules import (free_module, norm_quotient_module, tor_one,
+                      twisted_coinvariants)
 from .homology import group_homology
 from .serialize import (bundled_names, bundled_path, load_form, load_group,
                         load_module)
@@ -107,15 +107,18 @@ def run_golden_suite() -> List[GoldenCheck]:
     for name in sorted(groups):
         group, _ = groups[name]
         for w in all_characters(group):
-            facts = norm_quotient_facts(group, w)
-            if not facts.cyclic_of_group_order:
+            nq = norm_quotient_module(group, w)
+            coinv = twisted_coinvariants(nq, w).presentation
+            cyclic = (group.order,) if group.order > 1 else ()
+            if coinv.invariant_factors() != (0, cyclic):
                 norm_failures.append(
                     f"{name} w={list(w.values)}: coinvariants "
-                    f"{facts.coinvariants.describe()}")
-            if not facts.tor_trivial:
+                    f"{coinv.describe()}")
+            tor = tor_one(nq, w, budget=None)
+            if tor.invariant_factors() != (0, ()):
                 norm_failures.append(
                     f"{name} w={list(w.values)}: derived functor "
-                    f"{facts.tor.describe()}")
+                    f"{tor.describe()}")
     checks.append(GoldenCheck(
         label=("norm-quotient coinvariants are cyclic of the group order "
                "with vanishing first derived functor, for every bundled "

@@ -26,10 +26,9 @@ from .groups import (FiniteGroup, OrientationChar, automorphisms_preserving,
                      DEFAULT_AUT_CAP)
 from .intmat import (Elimination, IntMatrix, SNFSolver, elementary_divisors,
                      eliminate_units, kernel_basis, sparse_columns)
-from .resolutions import (DEFAULT_BUDGET, Resolution, chain_resolution,
-                          chain_resolution_ranks, check_budget,
-                          periodic_generator, periodic_resolution,
-                          twisted_chain_columns)
+from .resolutions import (DEFAULT_BUDGET, Resolution, chain_resolution_ranks,
+                          check_budget, periodic_generator,
+                          periodic_resolution, twisted_chain_columns)
 
 MAX_DEGREE = 4
 
@@ -74,15 +73,6 @@ def _provider_name(group: FiniteGroup, provider: str) -> str:
     raise UnsupportedInputError(f"unknown resolution provider '{provider}'")
 
 
-def resolution_for(group: FiniteGroup, length: int, provider: str = "auto",
-                   budget: Optional[int] = DEFAULT_BUDGET) -> Resolution:
-    """Pick and build a resolution: the periodic one for cyclic groups under
-    ``auto``, the chain resolution otherwise."""
-    if _provider_name(group, provider) == "cyclic":
-        return periodic_resolution(group, length)
-    return chain_resolution(group, length, budget=budget)
-
-
 def _check_degree(k: int) -> None:
     if not (0 <= k <= MAX_DEGREE):
         raise UnsupportedInputError(
@@ -104,9 +94,10 @@ def _twisted_differentials(group: FiniteGroup, w: OrientationChar, k: int,
 
     Without a stored resolution the bar provider builds the two matrices
     straight from tuples, after the budget check the full chain resolution
-    of length ``k + 1`` would make; other resolutions are collapsed
-    through the character.  Only a stored resolution is checked to compose
-    to zero: the tests check the package's own complexes."""
+    of length ``k + 1`` would make; the cyclic provider's periodic
+    resolution and stored resolutions are collapsed through the character.
+    Only a stored resolution is checked to compose to zero: the tests check
+    the package's own complexes."""
     _check_degree(k)
     if w.group is not group:
         raise IncompatibleInputError(
@@ -117,7 +108,7 @@ def _twisted_differentials(group: FiniteGroup, w: OrientationChar, k: int,
         twisted = lambda j: twisted_chain_columns(group, w, j)
     else:
         if resolution is None:
-            resolution = resolution_for(group, k + 1, provider, budget)
+            resolution = periodic_resolution(group, k + 1)
         elif resolution.length < k + 1:
             raise UnsupportedInputError(
                 f"resolution of length {resolution.length} cannot compute "

@@ -21,7 +21,7 @@ from .abelian import AbelianHom, AbelianPresentation
 from .errors import BudgetExceededError, IncompatibleInputError
 from .groups import FiniteGroup, OrientationChar, SubgroupData
 from .intmat import (IntMatrix, SNFSolver, elementary_divisors, kernel_basis,
-                     preimage_lattice, sparse_columns)
+                     preimage_lattice)
 from .resolutions import DEFAULT_BUDGET
 
 # ``table[g] = (images, signs)``: element ``g`` sends basis vector ``i`` to
@@ -386,7 +386,9 @@ def _minimal_cover(module: ZPiModule) -> List[int]:
     elementary divisors agree.
     """
     n = module.underlying.ngens
-    columns = sparse_columns(module.underlying.relations.transpose())
+    # The relation rows are the columns of the transposed matrix.
+    columns = [{j: v for j, v in enumerate(row) if v}
+               for row in module.underlying.relations.data]
     size = _lattice_size(n, columns)
     kept: List[int] = []
     for i in range(n):

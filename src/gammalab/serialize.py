@@ -294,9 +294,12 @@ def _data_root():
     return resources.files("gammalab") / "data"
 
 
+_PREFIXES = {"group": "group_", "module": "module_", "form": "form_"}
+
+
 def bundled_names(kind: str) -> List[str]:
     """Names of bundled inputs of a kind: 'group', 'module', or 'form'."""
-    prefix = {"group": "group_", "module": "module_", "form": "form_"}[kind]
+    prefix = _PREFIXES[kind]
     names = []
     for entry in _data_root().iterdir():
         name = entry.name
@@ -305,24 +308,29 @@ def bundled_names(kind: str) -> List[str]:
     return sorted(names)
 
 
-def bundled_path(kind: str, name: str) -> str:
-    prefix = {"group": "group_", "module": "module_", "form": "form_"}[kind]
-    entry = _data_root() / f"{prefix}{name}.json"
+def _concrete(entry) -> str:
     with resources.as_file(entry) as concrete:
         return str(concrete)
+
+
+def bundled_path(kind: str, name: str) -> str:
+    return _concrete(_data_root() / f"{_PREFIXES[kind]}{name}.json")
 
 
 def resolve_input(kind: str, value: str) -> str:
     """Interpret a command-line input as a file path or a bundled name.
 
     An existing path wins; otherwise the value is looked up among the
-    bundled inputs of the given kind.
+    bundled inputs of the given kind.  A value with a path separator, or
+    ``.`` or ``..``, is never joined onto the data directory.
     """
     if Path(value).is_file():
         return value
+    if Path(value).name == value and value not in (".", ".."):
+        entry = _data_root() / f"{_PREFIXES[kind]}{value}.json"
+        if entry.is_file():
+            return _concrete(entry)
     names = bundled_names(kind)
-    if value in names:
-        return bundled_path(kind, value)
     raise ParseError(
         f"'{value}' is neither a readable file nor a bundled {kind} name; "
         f"bundled {kind}s: {', '.join(names)}")

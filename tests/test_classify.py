@@ -25,7 +25,7 @@ import random
 
 import pytest
 
-from gammalab.abelian import AbelianPresentation
+from gammalab.abelian import AbelianPresentation, format_invariants
 from gammalab.builtins import (
     cyclic_group,
     klein_four_group,
@@ -68,7 +68,7 @@ from gammalab.groups import (
     bar_involution,
     subgroup_and_cosets,
 )
-from gammalab import cli
+from gammalab import classify, cli, modules
 from gammalab.intmat import IntMatrix
 from gammalab.modules import (
     free_module,
@@ -716,6 +716,30 @@ def test_census_rank_one_over_order_two_twisted():
     assert report.norm_quotient_is_cyclic_of_group_order is True
     assert report.norm_quotient_tor_trivial is True
     assert report.lambda_primitive is False
+
+
+def test_census_reports_the_norm_quotient_in_closed_form(monkeypatch):
+    """Neither report builds the norm quotient or its first derived
+    functor: Z/|G| and Tor_1 = 0 are reported in closed form.
+    ``test_modules.test_coinvariants_of_norm_quotient`` checks that closed
+    form against the computed route."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census computed a norm-quotient fact")
+
+    for owner in (modules, classify):
+        for attr in ("tor_one", "norm_quotient_module"):
+            monkeypatch.setattr(owner, attr, refuse, raising=False)
+    for name, group in standard_library().items():
+        cyclic = (group.order,) if group.order > 1 else ()
+        for w in all_characters(group):
+            unit = [[[1] + [0] * (group.order - 1)]]
+            for report in (census(make_two_type(group, w, unit)),
+                           module_census(group, w, free_module(group, 1))):
+                quotient = report.norm_quotient_coinvariants
+                assert quotient.invariant_factors() == (0, cyclic), name
+                assert quotient.describe() == format_invariants(0, cyclic)
+                assert report.norm_quotient_is_cyclic_of_group_order is True
+                assert report.norm_quotient_tor_trivial is True
 
 
 def test_census_trivial_group_unit_form():

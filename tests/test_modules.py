@@ -14,6 +14,7 @@ from gammalab.abelian import AbelianPresentation
 from gammalab.builtins import (
     cyclic_group,
     dihedral_group_4,
+    direct_product,
     klein_four_group,
     quaternion_group,
     standard_library,
@@ -254,15 +255,22 @@ def test_coinvariants_free_path_agrees_with_generic_path():
 
 def test_coinvariants_of_norm_quotient():
     """The quotient of the group ring by its signed norm has coinvariants
-    Z/|G| for every character, with trivial first derived functor."""
-    for name, group in standard_library().items():
+    Z/|G| for every character, with trivial first derived functor: the
+    closed form the census reports.  Some direct products join the bundled
+    groups."""
+    z2 = cyclic_group(2)
+    groups = dict(standard_library())
+    groups["z2^3"] = direct_product(direct_product(z2, z2), z2)
+    groups["s3 x z2"] = direct_product(symmetric_group_3(), z2)
+    groups["z3 x z4"] = direct_product(cyclic_group(3), cyclic_group(4))
+    for name, group in groups.items():
         for w in all_characters(group):
             module = norm_quotient_module(group, w)
             result = twisted_coinvariants(module, w)
             order = group.order
             expected = (0, ()) if order == 1 else (0, (order,))
             assert result.presentation.invariant_factors() == expected, name
-            assert tor_one(module, w).invariant_factors() == (0, ())
+            assert tor_one(module, w).invariant_factors() == (0, ()), name
 
 
 # -- first derived functor --------------------------------------------------

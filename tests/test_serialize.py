@@ -13,6 +13,7 @@ of the order-two group still computes H_3 = Z/2.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -331,6 +332,12 @@ def test_resolve_input_falls_back_to_bundled_names(tmp_path, monkeypatch):
     assert path.endswith("group_z2.json")
     group, _ = load_group(path)
     assert group.order == 2
+    for kind in ("group", "module", "form"):
+        for name in bundled_names(kind):
+            path = resolve_input(kind, name)
+            assert path == bundled_path(kind, name)
+            assert Path(path).name == f"{kind}_{name}.json"
+            assert Path(path).is_file()
 
 
 def test_resolve_input_unknown_name_lists_choices():
@@ -339,3 +346,19 @@ def test_resolve_input_unknown_name_lists_choices():
     message = str(info.value)
     assert "bundled form" in message
     assert "rp4cp2" in message and "z2_hyperbolic" in message
+
+
+@pytest.mark.parametrize("value", [
+    "nonesuch", "", ".", "..", "../z2", "../data/group_z2", "z2/../z2",
+    "data/group_z2", "/z2",
+])
+def test_resolve_input_refuses_unknown_and_path_like_names(
+        tmp_path, monkeypatch, value):
+    # A path-like value is never joined onto the data directory, and every
+    # refusal lists the bundled names.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ParseError) as info:
+        resolve_input("group", value)
+    assert str(info.value) == (
+        f"'{value}' is neither a readable file nor a bundled group name; "
+        f"bundled groups: {', '.join(bundled_names('group'))}")

@@ -23,9 +23,8 @@ import sys
 from typing import Dict, List, Optional
 
 from .classify import (QuadraticTwoType, census, module_census)
-from .errors import (BudgetExceededError, GammaLabError,
-                     GroupValidationError, IncompatibleInputError,
-                     ParseError, SingularFormError, UnsupportedInputError)
+from .errors import (GammaLabError, GroupValidationError,
+                     IncompatibleInputError, ParseError, UnsupportedInputError)
 from .gamma import basis_labels, quadratic_value
 from .golden import run_golden_suite
 from .groups import DEFAULT_AUT_CAP
@@ -430,9 +429,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             IncompatibleInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceededError, SingularFormError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except GammaLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -55,8 +55,10 @@ class FiniteGroup:
         for a in range(n):
             if all(self.table[a][b] != 0 for b in range(n)):
                 raise GroupValidationError(f"element {a} not invertible")
-        for a in range(n):
-            for b in range(n):
+        # Light's test: the middle elements b that associate with every a
+        # and c are closed under products, so the generators suffice.
+        for b in self.generating_set():
+            for a in range(n):
                 ab = self.table[a][b]
                 for c in range(n):
                     if self.table[ab][c] != self.table[a][self.table[b][c]]:

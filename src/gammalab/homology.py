@@ -3,14 +3,14 @@ to four, plus the action of character-preserving automorphisms on it and
 the resulting orbit decomposition.
 
 Homology is read off a free resolution after collapsing each differential
-through the sign character.  The chain modules are free, so ``H_k`` comes
-from the elementary divisors of the twisted differentials ``d_k`` and
-``d_{k+1}`` alone.  For the same reason the torsion of ``H_k`` is the
-torsion of the cokernel of ``d_{k+1}``, and for a finite group ``H_k`` is
-all torsion once ``k >= 1``.  Automorphisms act on that cokernel: the unit
-pivots of ``d_{k+1}`` are eliminated sparsely, one Smith normal form
-presents the remainder, and each chain map is pushed through the
-eliminations.  No kernel basis is built; ``homology_with_basis``, the
+through the sign character.  Only ``d_{k+1}`` is read: ``C_{k-1}`` is free,
+so the torsion of ``H_k`` is the torsion of the cokernel of ``d_{k+1}``, and
+``|G|`` kills ``H_k`` of a finite group once ``k >= 1`` (K. S. Brown,
+*Cohomology of Groups*, Cor. III.10.2), so there ``H_k`` is all torsion;
+``H_0`` is the cokernel of ``d_1`` itself.  Automorphisms act on that
+cokernel: the unit pivots of ``d_{k+1}`` are eliminated sparsely, one Smith
+normal form presents the remainder, and each chain map is pushed through
+the eliminations.  No kernel basis is built; ``homology_with_basis``, the
 kernel-modulo-image route, stays as an independent oracle.
 """
 
@@ -85,19 +85,18 @@ def _check_degree(k: int) -> None:
 SparseDifferential = Tuple[int, List[Dict[int, int]]]
 
 
-def _twisted_differentials(group: FiniteGroup, w: OrientationChar, k: int,
-                           provider: str, budget: Optional[int],
-                           resolution: Optional[Resolution]
-                           ) -> Tuple[SparseDifferential, SparseDifferential]:
-    """The twisted differentials ``d_k`` and ``d_{k+1}``; ``d_0`` is the
-    zero map out of the degree-zero module.
+def _twisted_differential(group: FiniteGroup, w: OrientationChar, k: int,
+                          provider: str, budget: Optional[int],
+                          resolution: Optional[Resolution]
+                          ) -> SparseDifferential:
+    """The twisted differential ``d_{k+1}``, the only one homology in
+    degree ``k`` reads.
 
-    Without a stored resolution the bar provider builds the two matrices
-    straight from tuples, after the budget check the full chain resolution
-    of length ``k + 1`` would make; the cyclic provider's periodic
-    resolution and stored resolutions are collapsed through the character.
-    Only a stored resolution is checked to compose to zero: the tests check
-    the package's own complexes."""
+    Without a stored resolution the bar provider builds it straight from
+    tuples, after the budget check the full chain resolution of length
+    ``k + 1`` would make; the cyclic provider's periodic resolution and
+    stored resolutions are collapsed through the character, and a stored
+    one is checked to compose to zero with ``d_k``."""
     _check_degree(k)
     if w.group is not group:
         raise IncompatibleInputError(
@@ -105,24 +104,20 @@ def _twisted_differentials(group: FiniteGroup, w: OrientationChar, k: int,
     if resolution is None and _provider_name(group, provider) == "bar":
         ranks = chain_resolution_ranks(group.order, k + 1)
         check_budget(group.order, ranks, budget)
-        twisted = lambda j: twisted_chain_columns(group, w, j)
-    else:
-        if resolution is None:
-            resolution = periodic_resolution(group, k + 1)
-        elif resolution.length < k + 1:
-            raise UnsupportedInputError(
-                f"resolution of length {resolution.length} cannot compute "
-                f"degree {k}; length {k + 1} is needed")
-        elif k and not resolution.twisted_matrix(k, w).mul(
-                resolution.twisted_matrix(k + 1, w)).is_zero():
-            raise IncompatibleInputError(
-                "maps do not compose to zero; not a chain complex")
-        ranks = resolution.ranks
-        twisted = lambda j: sparse_columns(resolution.twisted_matrix(j, w))
-    d_out = twisted(k) if k else [{} for _ in range(ranks[0])]
-    d_in = twisted(k + 1)
-    rows_out = ranks[k - 1] if k else 0
-    return (rows_out, d_out), (ranks[k], d_in)
+        return ranks[k], twisted_chain_columns(group, w, k + 1)
+    stored = resolution is not None
+    if not stored:
+        resolution = periodic_resolution(group, k + 1)
+    elif resolution.length < k + 1:
+        raise UnsupportedInputError(
+            f"resolution of length {resolution.length} cannot compute "
+            f"degree {k}; length {k + 1} is needed")
+    d_in = resolution.twisted_matrix(k + 1, w)
+    if stored and k and not resolution.twisted_matrix(k, w).mul(
+            d_in).is_zero():
+        raise IncompatibleInputError(
+            "maps do not compose to zero; not a chain complex")
+    return resolution.ranks[k], sparse_columns(d_in)
 
 
 def group_homology(group: FiniteGroup, w: OrientationChar, k: int,
@@ -132,15 +127,16 @@ def group_homology(group: FiniteGroup, w: OrientationChar, k: int,
     """Homology of the group in degree ``k`` with coefficients in the
     integers twisted by the character.
 
-    ``C_{k-1}`` is free, so ``H_k`` is ``Z^(n_k - rank d_k - rank d_{k+1})``
-    plus one cyclic summand per elementary divisor of ``d_{k+1}`` above 1."""
-    d_out, d_in = _twisted_differentials(group, w, k, provider, budget,
-                                         resolution)
-    rank_out = sum(1 for d in elementary_divisors(*d_out) if d)
-    divisors = elementary_divisors(*d_in)
-    rank_in = sum(1 for d in divisors if d)
+    One cyclic summand per elementary divisor of ``d_{k+1}`` above 1; in
+    degree 0 also ``Z^(n_0 - rank d_1)``, and no free part above it.  A
+    ``resolution`` must resolve the integers, as ``parse_resolution``
+    checks: the free part of a complex that does not would go unseen."""
+    nrows, columns = _twisted_differential(group, w, k, provider, budget,
+                                           resolution)
+    divisors = elementary_divisors(nrows, columns)
+    rank = nrows - sum(1 for d in divisors if d) if k == 0 else 0
     return AbelianPresentation.from_factors(
-        len(d_out[1]) - rank_out - rank_in, [d for d in divisors if d > 1])
+        rank, [d for d in divisors if d > 1])
 
 
 def _chain_self_map(group: FiniteGroup, k: int, alpha: Sequence[int]) -> List[int]:
@@ -214,15 +210,15 @@ def induced_homology_maps(group: FiniteGroup, w: OrientationChar, k: int,
     """The degree-``k`` homology together with the endomorphisms induced by
     every character-preserving automorphism of the group.
 
-    ``C_{k-1}`` is free, so the torsion of ``H_k`` is the torsion of the
-    cokernel of ``d_{k+1}``, and ``H_k`` of a finite group is torsion for
-    ``k >= 1``: it is presented by its torsion invariants, on canonical
-    coordinates.  ``H_0`` is the cokernel of ``d_1`` itself.  The cokernel
-    comes from :func:`~gammalab.intmat.eliminate_units` and one Smith normal
-    form of the remainder; each chain map (a relabeling of tuples, or a
-    scalar on the periodic resolution) is pushed through the eliminations.
+    For ``k >= 1``, ``H_k`` is the torsion of the cokernel of ``d_{k+1}``
+    (see the module docstring), presented by its torsion invariants on
+    canonical coordinates; ``H_0`` is the cokernel of ``d_1`` itself.  The
+    cokernel comes from :func:`~gammalab.intmat.eliminate_units` and one
+    Smith normal form of the remainder, read once for both the torsion and
+    its lifts; each chain map (a relabeling of tuples, or a scalar on the
+    periodic resolution) is pushed through the eliminations.
     """
-    d_out, d_in = _twisted_differentials(group, w, k, provider, budget, None)
+    d_in = _twisted_differential(group, w, k, provider, budget, None)
     auts = automorphisms_preserving(group, w, cap=aut_cap)
     nrows = d_in[0]
     if k == 0:
@@ -234,19 +230,10 @@ def induced_homology_maps(group: FiniteGroup, w: OrientationChar, k: int,
         eliminations, rows, rest = eliminate_units(*d_in)
         coker = AbelianPresentation.from_relation_rows(
             len(rows), [rest.column(j) for j in range(rest.cols)])
-        rank_out = sum(1 for d in elementary_divisors(*d_out) if d)
-        zero_rows = nrows - len(eliminations) - len(rows)
-        if zero_rows + coker.rank != rank_out:
-            raise IncompatibleInputError(
-                f"degree-{k} homology of a finite group has free rank "
-                f"{zero_rows + coker.rank - rank_out}, not 0; the complex "
-                "does not resolve the integers")
-        pres = AbelianPresentation.from_diagonal(coker.torsion)
-        zeros_free = [0] * coker.rank
-        lifts = []
-        for unit in IntMatrix.identity(len(coker.torsion)).data:
-            x = coker.from_canonical(zeros_free, unit)
-            lifts.append({rows[p]: c for p, c in enumerate(x) if c})
+        sub, inclusion = coker.torsion_part()
+        pres = AbelianPresentation.from_diagonal(sub.torsion)
+        lifts = [{rows[p]: c for p, c in enumerate(inclusion.matrix.column(j))
+                  if c} for j in range(pres.ngens)]
 
         def coordinates(vector):
             reduced = _reduce(eliminations, vector)

@@ -93,6 +93,44 @@ def test_build_group_rejects_non_associative_loop():
     assert "associat" in str(info.value).lower()
 
 
+def all_triples_verdict(table):
+    """Oracle for the group check: identity, right inverses and
+    associativity on all n^3 triples."""
+    n = len(table)
+    return (all(table[0][a] == a == table[a][0] for a in range(n))
+            and all(0 in row for row in table)
+            and all(table[table[a][b]][c] == table[a][table[b][c]]
+                    for a in range(n) for b in range(n) for c in range(n)))
+
+
+def test_generator_associativity_refuses_what_all_triples_refuse():
+    rng = random.Random(20261018)
+    groups = list(standard_library().values())
+    groups.append(direct_product(cyclic_group(2), klein_four_group()))
+    by_associativity = 0
+    for group in groups:
+        n = group.order
+        if n == 1:
+            continue
+        for _ in range(400):
+            table = [list(row) for row in group.table]
+            for _ in range(rng.randint(1, 3)):
+                a, b = rng.randrange(n), rng.randrange(n)
+                table[a][b] = (table[a][b] + rng.randrange(1, n)) % n
+            expected = all_triples_verdict(table)
+            try:
+                build_group(table)
+                accepted = True
+            except GroupValidationError as exc:
+                accepted = False
+                if "associativity" in str(exc):
+                    by_associativity += 1
+            assert accepted == expected, table
+    # Over a thousand perturbed tables keep identity and inverses, so only
+    # the associativity test refuses them.
+    assert by_associativity >= 1000
+
+
 def test_build_group_rejects_empty_table():
     with pytest.raises(GroupValidationError):
         build_group([])

@@ -14,13 +14,18 @@ path it replaced, which stays in the package as the oracle:
   ``chain_resolution(...).twisted_matrix(k, w)``;
 * ``group_homology`` against ``quotient_of_kernel_by_image`` (kernel basis
   and solves) on every bundled (group, character, degree) within
-  :data:`BUDGET`, with every provider that applies.
+  :data:`BUDGET`, with every provider that applies.  The oracle reads both
+  ``d_k`` and ``d_{k+1}``, so it also checks that ``H_k`` has no free part
+  for ``k >= 1``, which ``group_homology`` takes as given.
+
+The last tests pin that ``group_homology`` builds ``d_{k+1}`` alone, once.
 """
 
 import random
 
 import pytest
 
+from gammalab import homology
 from gammalab.abelian import AbelianPresentation
 from gammalab.builtins import cyclic_group, standard_library
 from gammalab.errors import BudgetExceededError, IncompatibleInputError
@@ -211,3 +216,44 @@ def test_stored_resolution_breaking_the_chain_condition_is_refused():
     with pytest.raises(IncompatibleInputError) as info:
         group_homology(z4, w, 2, resolution=broken)
     assert "compose to zero" in str(info.value)
+
+
+# -- only d_{k+1} is read ---------------------------------------------------
+
+
+def test_bar_route_builds_only_the_outgoing_differential(monkeypatch):
+    group = standard_library()["klein4"]
+    asked = []
+    build = homology.twisted_chain_columns
+
+    def recording(group, w, k):
+        asked.append(k)
+        return build(group, w, k)
+
+    monkeypatch.setattr(homology, "twisted_chain_columns", recording)
+    for w in all_characters(group):
+        for k in range(MAX_DEGREE + 1):
+            asked.clear()
+            group_homology(group, w, k, provider="bar")
+            assert asked == [k + 1], (w.values, k)
+
+
+def test_stored_resolution_twists_each_differential_once(monkeypatch):
+    z4 = cyclic_group(4)
+    res = periodic_resolution(z4, 5)
+    asked = []
+    twist = Resolution.twisted_matrix
+
+    def recording(self, k, w):
+        asked.append(k)
+        return twist(self, k, w)
+
+    monkeypatch.setattr(Resolution, "twisted_matrix", recording)
+    w = OrientationChar.trivial(z4)
+    got = group_homology(z4, w, 3, resolution=res)
+    assert got.invariant_factors() == (0, (4,))
+    assert sorted(asked) == [3, 4]
+    # The package's own periodic resolution is not checked again.
+    asked.clear()
+    assert group_homology(z4, w, 3, provider="cyclic") == got
+    assert asked == [4]

@@ -7,7 +7,11 @@ through the sign character.  Only ``d_{k+1}`` is read: ``C_{k-1}`` is free,
 so the torsion of ``H_k`` is the torsion of the cokernel of ``d_{k+1}``, and
 ``|G|`` kills ``H_k`` of a finite group once ``k >= 1`` (K. S. Brown,
 *Cohomology of Groups*, Cor. III.10.2), so there ``H_k`` is all torsion;
-``H_0`` is the cokernel of ``d_1`` itself.  Automorphisms act on that
+``H_0`` is the cokernel of ``d_1`` itself.  On the bar resolution only
+the ``|T|·(n-1)^k`` columns of ``d_{k+1}`` whose tuple ends in a generating
+set ``T`` are read: ``d_{k+1} d_{k+2} (tau, x, h) = 0`` makes ``col(tau, x)
+= ±col(tau, x·h)`` modulo columns ending in ``h``, and ``col(tau, 1) = 0``,
+so they span the same lattice.  Automorphisms act on that
 cokernel: the unit pivots of ``d_{k+1}`` are eliminated sparsely, one Smith
 normal form presents the remainder, and each chain map is pushed through
 the eliminations.  No kernel basis is built; ``homology_with_basis``, the
@@ -85,18 +89,29 @@ def _check_degree(k: int) -> None:
 SparseDifferential = Tuple[int, List[Dict[int, int]]]
 
 
+def _irredundant_generators(group: FiniteGroup) -> List[int]:
+    """``group.generating_set()`` less each member the others generate."""
+    gens = group.generating_set()
+    for g in list(gens):
+        rest = [h for h in gens if h != g]
+        if len(group._closure(rest)) == group.order:
+            gens = rest
+    return gens
+
+
 def _twisted_differential(group: FiniteGroup, w: OrientationChar, k: int,
                           provider: str, budget: Optional[int],
-                          resolution: Optional[Resolution]
-                          ) -> SparseDifferential:
+                          resolution: Optional[Resolution],
+                          full: bool = False) -> SparseDifferential:
     """The twisted differential ``d_{k+1}``, the only one homology in
     degree ``k`` reads.
 
     Without a stored resolution the bar provider builds it straight from
     tuples, after the budget check the full chain resolution of length
-    ``k + 1`` would make; the cyclic provider's periodic resolution and
-    stored resolutions are collapsed through the character, and a stored
-    one is checked to compose to zero with ``d_k``."""
+    ``k + 1`` would make, and unless ``full`` only the columns ending in
+    a generator; the cyclic provider's periodic resolution and stored
+    resolutions are collapsed through the character, and a stored one is
+    checked to compose to zero with ``d_k``."""
     _check_degree(k)
     if w.group is not group:
         raise IncompatibleInputError(
@@ -104,7 +119,8 @@ def _twisted_differential(group: FiniteGroup, w: OrientationChar, k: int,
     if resolution is None and _provider_name(group, provider) == "bar":
         ranks = chain_resolution_ranks(group.order, k + 1)
         check_budget(group.order, ranks, budget)
-        return ranks[k], twisted_chain_columns(group, w, k + 1)
+        last = None if full else _irredundant_generators(group)
+        return ranks[k], twisted_chain_columns(group, w, k + 1, last)
     stored = resolution is not None
     if not stored:
         resolution = periodic_resolution(group, k + 1)
@@ -218,7 +234,8 @@ def induced_homology_maps(group: FiniteGroup, w: OrientationChar, k: int,
     its lifts; each chain map (a relabeling of tuples, or a scalar on the
     periodic resolution) is pushed through the eliminations.
     """
-    d_in = _twisted_differential(group, w, k, provider, budget, None)
+    d_in = _twisted_differential(group, w, k, provider, budget, None,
+                                 full=True)
     auts = automorphisms_preserving(group, w, cap=aut_cap)
     nrows = d_in[0]
     if k == 0:

@@ -192,18 +192,36 @@ def chain_resolution(group: FiniteGroup, length: int,
     return Resolution(group, ranks, differentials)
 
 
-def twisted_chain_columns(group: FiniteGroup, w: OrientationChar,
-                          k: int) -> List[Dict[int, int]]:
+def twisted_chain_columns(group: FiniteGroup, w: OrientationChar, k: int,
+                          last: Optional[Sequence[int]] = None
+                          ) -> List[Dict[int, int]]:
     """The columns of ``chain_resolution(group, k).twisted_matrix(k, w)``
     as ``{row: value}`` maps, built straight from the tuples: no ring
-    matrix and no budget check."""
-    row_index = {t: i for i, t in enumerate(chain_tuples(group, k - 1))}
+    matrix and no budget check; indices in mixed radix ``order - 1``.
+
+    With ``last``, only the columns ``head + (h,)`` with ``h`` in ``last``.
+    If ``last`` generates the group they span the same lattice: ``d d
+    (head, x, h) = 0`` makes ``col(head, x) = ±col(head, x·h)`` modulo
+    columns ending in ``h``, and ``col(head, 1) = 0``."""
+    base, table = group.order - 1, group.table
+    power = [base ** p for p in range(k + 1)]
     columns = []
-    for tup in chain_tuples(group, k):
-        column: Dict[int, int] = {}
-        for row, g, c in _bar_terms(group, tup):
-            _add_coeff(column, row_index[row], c * w(g))
-        columns.append(column)
+    for head_index, head in enumerate(chain_tuples(group, k - 1)):
+        for h in range(1, group.order) if last is None else last:
+            # The terms of _bar_terms on the digits of the column index:
+            # drop the first, merge digits i and i + 1, drop the last.
+            tup, index = head + (h,), head_index * base + h - 1
+            column = {index % power[k - 1]: w(tup[0])}
+            sign = -1
+            for i in range(k - 1):
+                merged = table[tup[i]][tup[i + 1]]
+                if merged != 0:
+                    _add_coeff(column, index // power[k - i] * power[k - 1 - i]
+                               + (merged - 1) * power[k - 2 - i]
+                               + index % power[k - 2 - i], sign)
+                sign = -sign
+            _add_coeff(column, index // base, sign)
+            columns.append(column)
     return columns
 
 

@@ -12,22 +12,30 @@ path it replaced, which stays in the package as the oracle:
   its remainder against the cokernel of the whole matrix;
 * the sparse twisted bar columns against
   ``chain_resolution(...).twisted_matrix(k, w)``;
+* the columns of the bar ``d_{k+1}`` whose tuple ends in a generating set
+  against all of them: the same lattice, on every bundled (group,
+  character), two direct products, and every generating pair of the
+  non-abelian groups, with a set inside a proper subgroup as the negative
+  control;
 * ``group_homology`` against ``quotient_of_kernel_by_image`` (kernel basis
   and solves) on every bundled (group, character, degree) within
   :data:`BUDGET`, with every provider that applies.  The oracle reads both
   ``d_k`` and ``d_{k+1}``, so it also checks that ``H_k`` has no free part
   for ``k >= 1``, which ``group_homology`` takes as given.
 
-The last tests pin that ``group_homology`` builds ``d_{k+1}`` alone, once.
+The last tests pin that ``group_homology`` builds ``d_{k+1}`` alone, once,
+and on the bar route only ``|T|·(n-1)^k`` of its columns.
 """
 
+import itertools
 import random
 
 import pytest
 
 from gammalab import homology
 from gammalab.abelian import AbelianPresentation
-from gammalab.builtins import cyclic_group, standard_library
+from gammalab.builtins import (cyclic_group, direct_product,
+                               klein_four_group, standard_library)
 from gammalab.errors import BudgetExceededError, IncompatibleInputError
 from gammalab.groups import OrientationChar, all_characters
 from gammalab.homology import (MAX_DEGREE, _reduce, group_homology,
@@ -36,8 +44,9 @@ from gammalab.intmat import (IntMatrix, SNFSolver, elementary_divisors,
                              eliminate_units, from_sparse_columns,
                              smith_normal_form, sparse_columns)
 from gammalab.resolutions import (Resolution, chain_resolution,
-                                  chain_resolution_ranks, periodic_resolution,
-                                  resolution_cost, twisted_chain_columns)
+                                  chain_resolution_ranks, chain_tuples,
+                                  periodic_resolution, resolution_cost,
+                                  twisted_chain_columns)
 
 # Work limit of every case below: every degree for orders up to four, and
 # up to degree two for the groups of order six and eight.
@@ -158,6 +167,113 @@ def test_twisted_chain_columns_match_chain_resolution():
                     res.twisted_matrix(k, w), (name, w.values, k)
 
 
+# -- columns ending in a generating set -------------------------------------
+
+# Largest twisted differential whose full column set the lemma tests build.
+MAX_LEMMA_COLUMNS = 2_401
+
+
+def nonzero_divisors(nrows, columns):
+    return [d for d in elementary_divisors(nrows, columns) if d]
+
+
+def generates(group, elements):
+    return len(group._closure(list(elements))) == group.order
+
+
+def lemma_degrees(group):
+    """Degrees ``k`` whose full ``d_{k+1}`` has at most MAX_LEMMA_COLUMNS
+    columns."""
+    return [k for k in range(MAX_DEGREE + 1)
+            if (group.order - 1) ** (k + 1) <= MAX_LEMMA_COLUMNS]
+
+
+def assert_same_lattice(group, w, k, last, full, expected):
+    """The columns of ``d_{k+1}`` ending in ``last`` are those columns of
+    the full set, whose nonzero elementary divisors are ``expected``, and
+    span the same lattice: a sublattice with the same nonzero elementary
+    divisors is the whole lattice."""
+    nrows = (group.order - 1) ** k
+    part = twisted_chain_columns(group, w, k + 1, last)
+    ends = [tup[-1] for tup in chain_tuples(group, k + 1)]
+    # Both list head by head; ``last`` is ascending, as the full set is.
+    assert part == [col for col, h in zip(full, ends) if h in last], \
+        (w.values, k, last)
+    assert nonzero_divisors(nrows, part) == expected, (w.values, k, last)
+
+
+def lemma_groups():
+    for name, group in sorted(standard_library().items()):
+        yield name, group
+    klein4, z2 = klein_four_group(), cyclic_group(2)
+    yield "z2 x klein4", direct_product(z2, klein4)
+    yield "s3 x z2", direct_product(standard_library()["s3"], z2)
+
+
+def test_columns_ending_in_the_bar_generators_span_every_column():
+    count = 0
+    for name, group in lemma_groups():
+        last = homology._irredundant_generators(group)
+        assert generates(group, last), name
+        for w in all_characters(group):
+            for k in lemma_degrees(group):
+                nrows = (group.order - 1) ** k
+                full = twisted_chain_columns(group, w, k + 1)
+                expected = nonzero_divisors(nrows, full)
+                assert_same_lattice(group, w, k, last, full, expected)
+                part = twisted_chain_columns(group, w, k + 1, last)
+                assert nonzero_divisors(nrows, part + full) == expected, \
+                    (name, w.values, k)
+                count += 1
+    assert count >= 100
+
+
+def test_every_generating_pair_spans_every_column():
+    for name in ("s3", "d4", "q8"):
+        group = standard_library()[name]
+        pairs = [pair for pair in
+                 itertools.combinations(range(1, group.order), 2)
+                 if generates(group, pair)]
+        assert len(pairs) >= 9, name
+        for w in all_characters(group):
+            for k in lemma_degrees(group):
+                full = twisted_chain_columns(group, w, k + 1)
+                expected = nonzero_divisors((group.order - 1) ** k, full)
+                for pair in pairs:
+                    assert_same_lattice(group, w, k, pair, full, expected)
+
+
+def test_columns_ending_in_a_proper_subgroup_can_span_less():
+    # {r} generates the rotations of s3 only.  The columns ending in r
+    # span a smaller lattice in some degree, so the lemma tests above can
+    # fail.
+    s3 = standard_library()["s3"]
+    assert not generates(s3, [1])
+    differs = []
+    for w in all_characters(s3):
+        for k in lemma_degrees(s3):
+            nrows = (s3.order - 1) ** k
+            full = twisted_chain_columns(s3, w, k + 1)
+            part = twisted_chain_columns(s3, w, k + 1, [1])
+            if nonzero_divisors(nrows, part) != nonzero_divisors(nrows, full):
+                differs.append((w.values, k))
+    assert differs
+
+
+def test_irredundant_generators():
+    library = standard_library()
+    expected = {"trivial": [], "z2": [1], "z3": [1], "z4": [1], "z6": [1],
+                "klein4": [1, 2], "s3": [1, 3], "d4": [1, 4],
+                "q8": [2, 4]}
+    for name, group in library.items():
+        gens = homology._irredundant_generators(group)
+        assert gens == expected[name], name
+        for g in gens:
+            assert not generates(group, [h for h in gens if h != g]), name
+    # The generating set keeps -1 of q8, which i and j already generate.
+    assert library["q8"].generating_set() == [1, 2, 4]
+
+
 # -- group homology ---------------------------------------------------------
 
 
@@ -226,9 +342,9 @@ def test_bar_route_builds_only_the_outgoing_differential(monkeypatch):
     asked = []
     build = homology.twisted_chain_columns
 
-    def recording(group, w, k):
+    def recording(group, w, k, *rest):
         asked.append(k)
-        return build(group, w, k)
+        return build(group, w, k, *rest)
 
     monkeypatch.setattr(homology, "twisted_chain_columns", recording)
     for w in all_characters(group):
@@ -236,6 +352,34 @@ def test_bar_route_builds_only_the_outgoing_differential(monkeypatch):
             asked.clear()
             group_homology(group, w, k, provider="bar")
             assert asked == [k + 1], (w.values, k)
+
+
+def test_bar_route_builds_only_the_columns_ending_in_generators(monkeypatch):
+    # |T| for the irredundant generating set T of each bundled group.
+    generators = {"trivial": 0, "z2": 1, "z3": 1, "z4": 1, "z6": 1,
+                  "klein4": 2, "s3": 2, "d4": 2, "q8": 2}
+    built = []
+    build = homology.twisted_chain_columns
+
+    def recording(*args):
+        columns = build(*args)
+        built.append(len(columns))
+        return columns
+
+    monkeypatch.setattr(homology, "twisted_chain_columns", recording)
+    for name, group in sorted(standard_library().items()):
+        w = OrientationChar.trivial(group)
+        for k in range(top_length(group.order)):
+            built.clear()
+            group_homology(group, w, k, provider="bar", budget=BUDGET)
+            assert built == [generators[name] * (group.order - 1) ** k], \
+                (name, k)
+    for name in ("d4", "q8"):
+        built.clear()
+        group = standard_library()[name]
+        group_homology(group, OrientationChar.trivial(group), 2,
+                       provider="bar", budget=BUDGET)
+        assert built == [98], name
 
 
 def test_stored_resolution_twists_each_differential_once(monkeypatch):

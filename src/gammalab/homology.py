@@ -10,8 +10,9 @@ so the torsion of ``H_k`` is the torsion of the cokernel of ``d_{k+1}``, and
 ``H_0`` is the cokernel of ``d_1`` itself.  On the bar resolution only
 the ``|T|·(n-1)^k`` columns of ``d_{k+1}`` whose tuple ends in a generating
 set ``T`` are read: ``d_{k+1} d_{k+2} (tau, x, h) = 0`` makes ``col(tau, x)
-= ±col(tau, x·h)`` modulo columns ending in ``h``, and ``col(tau, 1) = 0``,
-so they span the same lattice.  Automorphisms act on that
+= ±col(tau, x·h)`` modulo columns ending in ``h``, and a walk ``x -> x·h_1
+-> ... -> 1`` through ``T`` ends at ``col(tau, 1) = 0``, so they span the
+same lattice.  Automorphisms act on that
 cokernel: the unit pivots of ``d_{k+1}`` are eliminated sparsely, one Smith
 normal form presents the remainder, and each chain map is pushed through
 the eliminations.  No kernel basis is built; ``homology_with_basis``, the

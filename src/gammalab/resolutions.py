@@ -202,7 +202,8 @@ def twisted_chain_columns(group: FiniteGroup, w: OrientationChar, k: int,
     With ``last``, only the columns ``head + (h,)`` with ``h`` in ``last``.
     If ``last`` generates the group they span the same lattice: ``d d
     (head, x, h) = 0`` makes ``col(head, x) = ±col(head, x·h)`` modulo
-    columns ending in ``h``, and ``col(head, 1) = 0``."""
+    columns ending in ``h``, and a walk ``x -> x·h_1 -> ... -> 1`` through
+    ``last`` ends at ``col(head, 1) = 0``."""
     base, table = group.order - 1, group.table
     power = [base ** p for p in range(k + 1)]
     columns = []

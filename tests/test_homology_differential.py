@@ -192,7 +192,7 @@ def assert_same_lattice(group, w, k, last, full, expected):
     """The columns of ``d_{k+1}`` ending in ``last`` are those columns of
     the full set, whose nonzero elementary divisors are ``expected``, and
     span the same lattice: a sublattice with the same nonzero elementary
-    divisors is the whole lattice."""
+    divisors is the whole lattice.  Returns those columns."""
     nrows = (group.order - 1) ** k
     part = twisted_chain_columns(group, w, k + 1, last)
     ends = [tup[-1] for tup in chain_tuples(group, k + 1)]
@@ -200,6 +200,7 @@ def assert_same_lattice(group, w, k, last, full, expected):
     assert part == [col for col, h in zip(full, ends) if h in last], \
         (w.values, k, last)
     assert nonzero_divisors(nrows, part) == expected, (w.values, k, last)
+    return part
 
 
 def lemma_groups():
@@ -220,8 +221,7 @@ def test_columns_ending_in_the_bar_generators_span_every_column():
                 nrows = (group.order - 1) ** k
                 full = twisted_chain_columns(group, w, k + 1)
                 expected = nonzero_divisors(nrows, full)
-                assert_same_lattice(group, w, k, last, full, expected)
-                part = twisted_chain_columns(group, w, k + 1, last)
+                part = assert_same_lattice(group, w, k, last, full, expected)
                 assert nonzero_divisors(nrows, part + full) == expected, \
                     (name, w.values, k)
                 count += 1

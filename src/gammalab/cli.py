@@ -250,13 +250,7 @@ def cmd_homology(args) -> int:
     stored = _load_resolution_choice(args, group)
     report = None
     if args.orbits:
-        if stored is not None:
-            raise UnsupportedInputError(
-                "orbit counting picks its own resolution; drop "
-                "--resolution file")
-        report = homology_orbits(group, w, args.degree,
-                                 provider=args.resolution, budget=budget,
-                                 aut_cap=args.aut_cap)
+        report = _orbit_report(args, group, w, budget, stored)
         pres = report.presentation
     else:
         provider = "auto" if stored is not None else args.resolution
@@ -356,17 +350,19 @@ def cmd_census(args) -> int:
     return 0
 
 
-def cmd_orbit(args) -> int:
-    group, w = _load_group_and_character(args)
-    budget = _resolve_budget(args)
-    stored = _load_resolution_choice(args, group)
+def _orbit_report(args, group, w, budget, stored):
     if stored is not None:
         raise UnsupportedInputError(
             "orbit counting picks its own resolution; drop "
             "--resolution file")
-    report = homology_orbits(group, w, args.degree,
-                             provider=args.resolution, budget=budget,
-                             aut_cap=args.aut_cap)
+    return homology_orbits(group, w, args.degree, provider=args.resolution,
+                           budget=budget, aut_cap=args.aut_cap)
+
+
+def cmd_orbit(args) -> int:
+    group, w = _load_group_and_character(args)
+    report = _orbit_report(args, group, w, _resolve_budget(args),
+                           _load_resolution_choice(args, group))
     lines = [
         f"H_{args.degree} = {report.presentation.describe()}",
         f"free rank (identified only up to sign) = {report.free_rank}",

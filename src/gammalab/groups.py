@@ -436,8 +436,7 @@ def automorphisms(group: FiniteGroup, cap: int = DEFAULT_AUT_CAP) -> List[Tuple[
 
 
 def _extend_automorphism(group, gens, images):
-    n = group.order
-    alpha = [-1] * n
+    alpha = [-1] * group.order
     alpha[0] = 0
     frontier = [0]
     while frontier:
@@ -450,13 +449,16 @@ def _extend_automorphism(group, gens, images):
                 frontier.append(y)
             elif alpha[y] != v:
                 return None
-    if -1 in alpha or len(set(alpha)) != n:
-        return None
-    for a in range(n):
-        for b in range(n):
-            if alpha[group.table[a][b]] != group.table[alpha[a]][alpha[b]]:
-                return None
-    return tuple(alpha)
+    return tuple(alpha) if is_automorphism(group, alpha) else None
+
+
+def is_automorphism(group: FiniteGroup, alpha: Sequence[int]) -> bool:
+    """Whether ``alpha`` permutes the elements and ``alpha(ab) =
+    alpha(a) alpha(b)`` for every pair: ``n^2`` table lookups."""
+    table = group.table
+    return sorted(alpha) == list(range(group.order)) and all(
+        alpha[ab] == table[alpha[a]][alpha[b]]
+        for a, row in enumerate(table) for b, ab in enumerate(row))
 
 
 def automorphisms_preserving(group: FiniteGroup, w: OrientationChar,

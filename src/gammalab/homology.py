@@ -12,10 +12,10 @@ the ``|T|·(n-1)^k`` columns of ``d_{k+1}`` whose tuple ends in a generating
 set ``T`` are read: ``d_{k+1} d_{k+2} (tau, x, h) = 0`` makes ``col(tau, x)
 = ±col(tau, x·h)`` modulo columns ending in ``h``, and a walk ``x -> x·h_1
 -> ... -> 1`` through ``T`` ends at ``col(tau, 1) = 0``, so they span the
-same lattice.  Automorphisms act on that
-cokernel: the unit pivots of ``d_{k+1}`` are eliminated sparsely, one Smith
-normal form presents the remainder, and each chain map is pushed through
-the eliminations.  No kernel basis is built; ``homology_with_basis``, the
+same lattice.  Automorphisms act on that cokernel, read off the same
+columns: the unit pivots are eliminated sparsely, one Smith normal form
+presents the remainder, and each chain map is pushed through the
+eliminations.  No kernel basis is built; ``homology_with_basis``, the
 kernel-modulo-image route, stays as an independent oracle.
 """
 
@@ -28,7 +28,7 @@ from .abelian import AbelianHom, AbelianPresentation
 from .errors import (BudgetExceededError, IncompatibleInputError,
                      UnsupportedInputError)
 from .groups import (FiniteGroup, OrientationChar, automorphisms_preserving,
-                     DEFAULT_AUT_CAP)
+                     is_automorphism, DEFAULT_AUT_CAP)
 from .intmat import (Elimination, IntMatrix, SNFSolver, elementary_divisors,
                      eliminate_units, kernel_basis, sparse_columns)
 from .resolutions import (DEFAULT_BUDGET, Resolution, chain_resolution_ranks,
@@ -102,17 +102,17 @@ def _irredundant_generators(group: FiniteGroup) -> List[int]:
 
 def _twisted_differential(group: FiniteGroup, w: OrientationChar, k: int,
                           provider: str, budget: Optional[int],
-                          resolution: Optional[Resolution],
-                          full: bool = False) -> SparseDifferential:
+                          resolution: Optional[Resolution]
+                          ) -> SparseDifferential:
     """The twisted differential ``d_{k+1}``, the only one homology in
     degree ``k`` reads.
 
     Without a stored resolution the bar provider builds it straight from
     tuples, after the budget check the full chain resolution of length
-    ``k + 1`` would make, and unless ``full`` only the columns ending in
-    a generator; the cyclic provider's periodic resolution and stored
-    resolutions are collapsed through the character, and a stored one is
-    checked to compose to zero with ``d_k``."""
+    ``k + 1`` would make, and only the columns ending in a generator, for
+    homology and orbits alike; the cyclic provider's periodic resolution
+    and stored resolutions are collapsed through the character, and a
+    stored one is checked to compose to zero with ``d_k``."""
     _check_degree(k)
     if w.group is not group:
         raise IncompatibleInputError(
@@ -120,8 +120,8 @@ def _twisted_differential(group: FiniteGroup, w: OrientationChar, k: int,
     if resolution is None and _provider_name(group, provider) == "bar":
         ranks = chain_resolution_ranks(group.order, k + 1)
         check_budget(group.order, ranks, budget)
-        last = None if full else _irredundant_generators(group)
-        return ranks[k], twisted_chain_columns(group, w, k + 1, last)
+        return ranks[k], twisted_chain_columns(
+            group, w, k + 1, _irredundant_generators(group))
     stored = resolution is not None
     if not stored:
         resolution = periodic_resolution(group, k + 1)
@@ -190,17 +190,17 @@ def _periodic_self_map(group: FiniteGroup, w: OrientationChar, k: int,
     return scalar
 
 
-def _check_descends(d_in: SparseDifferential, perm_k: Sequence[int],
-                    perm_up: Sequence[int]) -> None:
-    """Raise unless the relabelings of degrees ``k`` and ``k + 1`` commute
-    with ``d_{k+1}`` exactly; then the degree-``k`` map preserves the image
-    of ``d_{k+1}`` and descends to its cokernel."""
-    columns = d_in[1]
-    for j, column in enumerate(columns):
-        if {perm_k[r]: v for r, v in column.items()} != columns[perm_up[j]]:
-            raise IncompatibleInputError(
-                "chain map does not commute with the differential, so it "
-                "does not descend to homology")
+def _check_descends(group: FiniteGroup, w: OrientationChar,
+                    alpha: Sequence[int]) -> None:
+    """Raise unless ``alpha`` is an automorphism with ``w∘alpha = w``.  The
+    bar construction is natural (Brown, I.5): such an ``alpha`` sends each
+    term of a tuple's boundary to the same term of its image's boundary, so
+    the relabeling commutes with every twisted differential exactly."""
+    if not (is_automorphism(group, alpha)
+            and all(w(alpha[g]) == w(g) for g in range(group.order))):
+        raise IncompatibleInputError(
+            "chain map does not commute with the differential, so it "
+            "does not descend to homology")
 
 
 def _reduce(eliminations: Sequence[Elimination],
@@ -232,11 +232,11 @@ def induced_homology_maps(group: FiniteGroup, w: OrientationChar, k: int,
     canonical coordinates; ``H_0`` is the cokernel of ``d_1`` itself.  The
     cokernel comes from :func:`~gammalab.intmat.eliminate_units` and one
     Smith normal form of the remainder, read once for both the torsion and
-    its lifts; each chain map (a relabeling of tuples, or a scalar on the
-    periodic resolution) is pushed through the eliminations.
+    its lifts, on the columns :func:`group_homology` reads; each chain map
+    (a relabeling of tuples, or a scalar on the periodic resolution) is
+    pushed through the eliminations.
     """
-    d_in = _twisted_differential(group, w, k, provider, budget, None,
-                                 full=True)
+    d_in = _twisted_differential(group, w, k, provider, budget, None)
     auts = automorphisms_preserving(group, w, cap=aut_cap)
     nrows = d_in[0]
     if k == 0:
@@ -264,9 +264,9 @@ def induced_homology_maps(group: FiniteGroup, w: OrientationChar, k: int,
             scalar = _periodic_self_map(group, w, k, alpha)
             perm = range(nrows)
         else:
+            _check_descends(group, w, alpha)
             scalar = 1
             perm = _chain_self_map(group, k, alpha)
-            _check_descends(d_in, perm, _chain_self_map(group, k + 1, alpha))
         columns = [coordinates({perm[i]: scalar * c for i, c in lift.items()})
                    for lift in lifts]
         homs.append(AbelianHom(pres, pres, IntMatrix.from_columns(

@@ -24,7 +24,8 @@ path it replaced, which stays in the package as the oracle:
   for ``k >= 1``, which ``group_homology`` takes as given.
 
 The last tests pin that ``group_homology`` builds ``d_{k+1}`` alone, once,
-and on the bar route only ``|T|·(n-1)^k`` of its columns.
+and on the bar route only ``|T|·(n-1)^k`` of its columns, the same columns
+``induced_homology_maps`` reads.
 """
 
 import itertools
@@ -39,6 +40,7 @@ from gammalab.builtins import (cyclic_group, direct_product,
 from gammalab.errors import BudgetExceededError, IncompatibleInputError
 from gammalab.groups import OrientationChar, all_characters
 from gammalab.homology import (MAX_DEGREE, _reduce, group_homology,
+                               induced_homology_maps,
                                quotient_of_kernel_by_image)
 from gammalab.intmat import (IntMatrix, SNFSolver, elementary_divisors,
                              eliminate_units, from_sparse_columns,
@@ -375,11 +377,12 @@ def test_bar_route_builds_only_the_columns_ending_in_generators(monkeypatch):
             assert built == [generators[name] * (group.order - 1) ** k], \
                 (name, k)
     for name in ("d4", "q8"):
-        built.clear()
         group = standard_library()[name]
-        group_homology(group, OrientationChar.trivial(group), 2,
-                       provider="bar", budget=BUDGET)
-        assert built == [98], name
+        w = OrientationChar.trivial(group)
+        for reader in (group_homology, induced_homology_maps):
+            built.clear()
+            reader(group, w, 2, provider="bar", budget=BUDGET)
+            assert built == [98], (name, reader.__name__)
 
 
 def test_stored_resolution_twists_each_differential_once(monkeypatch):

@@ -24,7 +24,8 @@ import pytest
 from gammalab.abelian import AbelianHom
 from gammalab.builtins import standard_library
 from gammalab.errors import IncompatibleInputError
-from gammalab.groups import all_characters, automorphisms_preserving
+from gammalab.groups import (all_characters, automorphisms,
+                             automorphisms_preserving)
 from gammalab import homology
 from gammalab.homology import (homology_orbits, homology_with_basis,
                                induced_homology_maps)
@@ -149,3 +150,18 @@ def test_a_relabeling_that_is_not_a_chain_map_is_refused(monkeypatch):
                         lambda group, w, cap: [list(range(4)), swap])
     with pytest.raises(IncompatibleInputError, match="chain map"):
         induced_homology_maps(z4, w, 1, provider="bar")
+
+
+def test_an_automorphism_that_moves_the_character_is_refused(monkeypatch):
+    """An automorphism of the Klein four-group that does not preserve a
+    nontrivial character is a chain map of the untwisted complex only."""
+    klein4 = standard_library()["klein4"]
+    identity = tuple(range(4))
+    for w in all_characters(klein4)[1:]:
+        moving = next(alpha for alpha in automorphisms(klein4)
+                      if any(w(alpha[g]) != w(g) for g in range(4)))
+        monkeypatch.setattr(homology, "automorphisms_preserving",
+                            lambda group, w, cap: [identity, moving])
+        for k in range(1, 4):
+            with pytest.raises(IncompatibleInputError, match="chain map"):
+                induced_homology_maps(klein4, w, k, provider="bar")

@@ -272,13 +272,16 @@ def quadratic_module(module):
                   for g in range(module.group.order)]
         return ZPiModule(module.group, value, action)
     start = _pair_starts(n)
+    # The position of w_ab, for a and b in either order.
+    pair = [[start[a] + b if a < b else start[b] + a for b in range(n)]
+            for a in range(n)]
     table = []
     for images, signs in module.table:
         pairs, pair_signs = [], []
         for i in range(n):
+            row, sign = pair[images[i]], signs[i]
             for j in range(i + 1, n):
-                a, b = images[i], images[j]
-                pairs.append(start[a] + b if a < b else start[b] + a)
-                pair_signs.append(signs[i] * signs[j])
+                pairs.append(row[images[j]])
+                pair_signs.append(sign * signs[j])
         table.append((images + pairs, [1] * n + pair_signs))
     return ZPiModule(module.group, value, table=table)

@@ -149,7 +149,11 @@ def build_group(table: Sequence[Sequence[int]],
 
 
 class OrientationChar:
-    """A homomorphism from the group to ``{+1, -1}``."""
+    """A homomorphism from the group to ``{+1, -1}``.
+
+    ``w(ab) = w(a)w(b)`` is checked for ``a`` in ``generating_set()`` only:
+    the ``a`` for which it holds for every ``b`` are closed under products,
+    and every element is a product of generators."""
 
     def __init__(self, group: FiniteGroup, values: Sequence[int]):
         self.group = group
@@ -163,11 +167,10 @@ class OrientationChar:
             raise IncompatibleInputError(f"character value {bad} is not +1 or -1")
         if self.values[0] != 1:
             raise IncompatibleInputError("character does not send the identity to +1")
-        for a in range(group.order):
-            for b in range(group.order):
-                if self.values[group.table[a][b]] != self.values[a] * self.values[b]:
-                    raise IncompatibleInputError(
-                        f"character is not multiplicative at ({a}, {b})")
+        witness = _non_multiplicative_pair(group, self.values)
+        if witness is not None:
+            raise IncompatibleInputError(
+                f"character is not multiplicative at {witness}")
 
     @classmethod
     def trivial(cls, group: FiniteGroup) -> "OrientationChar":
@@ -222,13 +225,21 @@ def _extend_character(group, gens, signs):
                 frontier.append(y)
             elif values[y] != v:
                 return None
-    if any(v == 0 for v in values):
+    if any(v == 0 for v in values) or _non_multiplicative_pair(group, values):
         return None
-    for a in range(group.order):
-        for b in range(group.order):
-            if values[group.table[a][b]] != values[a] * values[b]:
-                return None
     return tuple(values)
+
+
+def _non_multiplicative_pair(group: FiniteGroup,
+                             values: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """The first ``(a, b)``, ``a`` a generator, with ``w(ab) != w(a)w(b)``
+    for signs with ``w(1) = 1``; ``None`` makes them a character."""
+    for a in group.generating_set():
+        wa = values[a]
+        for b, ab in enumerate(group.table[a]):
+            if values[ab] != wa * values[b]:
+                return a, b
+    return None
 
 
 class GroupRingElement:

@@ -23,6 +23,7 @@ Conventions
 
 from __future__ import annotations
 
+import operator
 from array import array
 from collections import deque
 from functools import cached_property
@@ -223,7 +224,7 @@ class IntMatrix:
     def mat_vec(self, x: Sequence[int]) -> List[int]:
         if len(x) != self.cols:
             raise ValueError(f"vector length {len(x)} does not match {self.cols} columns")
-        return [sum(a * b for a, b in zip(row, x)) for row in self.data]
+        return [sum(map(operator.mul, row, x)) for row in self.data]
 
     def vec_mat(self, x: Sequence[int]) -> List[int]:
         if len(x) != self.rows:

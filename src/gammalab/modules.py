@@ -14,6 +14,7 @@ to a subgroup, and the wrong-way transfer map on coinvariants.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -126,18 +127,23 @@ class ZPiModule:
                 f"ngens={self.underlying.ngens})")
 
 
-def signed_permutation_table(action: Sequence[IntMatrix]) -> Optional[SignedTable]:
-    """The table of action matrices whose every column has a single entry,
-    ``1`` or ``-1``; ``None`` for any other action."""
+def signed_permutation_table(action: Sequence[Sequence[Sequence[int]]]
+                             ) -> Optional[SignedTable]:
+    """The table of an action given as one list of rows per element (the
+    ``data`` of a matrix, or rows read from a file) when every column has a
+    single entry, ``1`` or ``-1``; ``None`` for any other action.  Each row
+    is read once, stepping over its zeros."""
     table = []
-    for mat in action:
-        images, signs = [], []
-        for j in range(mat.cols):
-            entries = [(i, row[j]) for i, row in enumerate(mat.data) if row[j]]
-            if len(entries) != 1 or entries[0][1] not in (1, -1):
-                return None
-            images.append(entries[0][0])
-            signs.append(entries[0][1])
+    for rows in action:
+        width = len(rows[0]) if rows else 0
+        images, signs = [0] * width, [0] * width
+        for i, row in enumerate(rows):
+            for j in compress(range(width), row):
+                if signs[j] or row[j] not in (1, -1):
+                    return None
+                images[j], signs[j] = i, row[j]
+        if 0 in signs:
+            return None
         table.append((images, signs))
     return table
 
@@ -201,8 +207,8 @@ def module_from_action(group: FiniteGroup, underlying: AbelianPresentation,
                        action: Sequence[IntMatrix], check: bool = True) -> ZPiModule:
     """A module from its action matrices, with the signed-permutation table
     when the matrices have one."""
-    module = ZPiModule(group, underlying, action, check=check,
-                       table=signed_permutation_table(action))
+    table = signed_permutation_table([mat.data for mat in action])
+    module = ZPiModule(group, underlying, action, check=check, table=table)
     module.zpi_free_rank = detect_free_structure(module)
     return module
 
@@ -221,7 +227,8 @@ def detect_free_structure(module: ZPiModule) -> Optional[int]:
     if n % order != 0:
         return None
     rank = n // order
-    table = module.table or signed_permutation_table(module.action)
+    table = module.table or signed_permutation_table(
+        [mat.data for mat in module.action])
     return rank if table == free_module(module.group, rank).table else None
 
 

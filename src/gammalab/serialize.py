@@ -20,7 +20,8 @@ from .classify import HermitianForm
 from .errors import GammaLabError, ParseError
 from .groups import FiniteGroup, OrientationChar, build_group
 from .intmat import IntMatrix
-from .modules import ZPiModule, module_from_action
+from .modules import (ZPiModule, detect_free_structure, module_from_action,
+                      signed_permutation_table)
 from .resolutions import Resolution
 
 __all__ = [
@@ -83,11 +84,19 @@ def _as_int(value, origin: str, field: str) -> int:
     return value
 
 
+def _int_row(row: list, origin: str, field: str) -> list:
+    """``row`` once every entry is exactly an ``int``; :func:`_as_int`
+    names the first entry that is not an integer."""
+    if list(map(type, row)).count(int) != len(row):
+        for entry in row:
+            _as_int(entry, origin, field)
+    return row
+
+
 def _int_rows(value, origin: str, field: str,
               width: Optional[int] = None) -> List[List[int]]:
     if not isinstance(value, list):
         raise ParseError(f"{origin}: field '{field}' must be a list of rows")
-    rows = []
     for index, row in enumerate(value):
         if not isinstance(row, list):
             raise ParseError(
@@ -96,9 +105,8 @@ def _int_rows(value, origin: str, field: str,
             raise ParseError(
                 f"{origin}: field '{field}' row {index} has length "
                 f"{len(row)}; expected {width}")
-        rows.append([_as_int(entry, origin, f"{field}[{index}]")
-                     for entry in row])
-    return rows
+        _int_row(row, origin, f"{field}[{index}]")
+    return value
 
 
 def parse_group(doc: dict, origin: str = "<group>") \
@@ -137,8 +145,8 @@ def parse_group(doc: dict, origin: str = "<group>") \
             raise ParseError(
                 f"{origin}: character '{name}' must be a list of {order} "
                 "signs")
-        signs = [_as_int(v, origin, f"characters['{name}']") for v in values]
-        characters[name] = OrientationChar(group, signs)
+        characters[name] = OrientationChar(
+            group, _int_row(values, origin, f"characters['{name}']"))
     return group, characters
 
 
@@ -155,7 +163,9 @@ def parse_presentation(doc: dict,
 def parse_module(doc: dict, group: FiniteGroup,
                  origin: str = "<module>") -> ZPiModule:
     """A module file pairs a presentation with one action matrix per group
-    element, keyed by the element index."""
+    element, keyed by the element index.  A signed-permutation action is
+    kept as its table, read off the rows; its matrices are built on first
+    read of ``action``."""
     underlying = parse_presentation(doc, origin)
     n = underlying.ngens
     raw_action = _require(doc, "action", origin)
@@ -182,8 +192,15 @@ def parse_module(doc: dict, group: FiniteGroup,
         if len(rows) != n:
             raise ParseError(
                 f"{origin}: action['{g}'] has {len(rows)} rows; expected {n}")
-        action.append(IntMatrix.from_rows(rows, cols=n))
-    return module_from_action(group, underlying, action)
+        action.append(rows)
+    table = signed_permutation_table(action)
+    if table is None:
+        return module_from_action(
+            group, underlying, [IntMatrix.from_rows(rows, cols=n)
+                                for rows in action])
+    module = ZPiModule(group, underlying, table=table)
+    module.zpi_free_rank = detect_free_structure(module)
+    return module
 
 
 def parse_form(doc: dict, group: FiniteGroup, w: OrientationChar,
@@ -207,8 +224,7 @@ def parse_form(doc: dict, group: FiniteGroup, w: OrientationChar,
                 raise ParseError(
                     f"{origin}: matrix entry ({i}, {j}) must be a "
                     f"coefficient vector of length {group.order}")
-            row.append([_as_int(c, origin, f"matrix[{i}][{j}]")
-                        for c in raw_entry])
+            row.append(_int_row(raw_entry, origin, f"matrix[{i}][{j}]"))
         rows.append(row)
     return HermitianForm.from_coefficients(group, w, rows)
 
@@ -257,8 +273,8 @@ def parse_resolution(doc: dict, group: FiniteGroup,
                     raise ParseError(
                         f"{origin}: boundary {k} entry ({i}, {j}) must be a "
                         f"coefficient vector of length {group.order}")
-                row.append(tuple(_as_int(c, origin, f"boundary {k}")
-                                 for c in raw_entry))
+                row.append(tuple(_int_row(raw_entry, origin,
+                                          f"boundary {k}")))
             matrix.append(row)
         differentials.append(matrix)
     resolution = Resolution(group, ranks, differentials)
@@ -290,8 +306,7 @@ def load_resolution(path: str, group: FiniteGroup) -> Resolution:
     return parse_resolution(load_document(path), group, origin=path)
 
 
-def _data_root():
-    return resources.files("gammalab") / "data"
+_DATA_ROOT = resources.files("gammalab") / "data"
 
 
 _PREFIXES = {"group": "group_", "module": "module_", "form": "form_"}
@@ -301,7 +316,7 @@ def bundled_names(kind: str) -> List[str]:
     """Names of bundled inputs of a kind: 'group', 'module', or 'form'."""
     prefix = _PREFIXES[kind]
     names = []
-    for entry in _data_root().iterdir():
+    for entry in _DATA_ROOT.iterdir():
         name = entry.name
         if name.startswith(prefix) and name.endswith(".json"):
             names.append(name[len(prefix):-len(".json")])
@@ -314,7 +329,7 @@ def _concrete(entry) -> str:
 
 
 def bundled_path(kind: str, name: str) -> str:
-    return _concrete(_data_root() / f"{_PREFIXES[kind]}{name}.json")
+    return _concrete(_DATA_ROOT / f"{_PREFIXES[kind]}{name}.json")
 
 
 def resolve_input(kind: str, value: str) -> str:
@@ -327,7 +342,7 @@ def resolve_input(kind: str, value: str) -> str:
     if Path(value).is_file():
         return value
     if Path(value).name == value and value not in (".", ".."):
-        entry = _data_root() / f"{_PREFIXES[kind]}{value}.json"
+        entry = _DATA_ROOT / f"{_PREFIXES[kind]}{value}.json"
         if entry.is_file():
             return _concrete(entry)
     names = bundled_names(kind)

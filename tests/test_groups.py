@@ -6,6 +6,7 @@ identities on randomized inputs, and automorphism counts are pinned to the
 textbook values for the built-in groups.
 """
 
+import itertools
 import random
 
 import pytest
@@ -256,6 +257,55 @@ def test_character_validation():
     z4 = cyclic_group(4)
     with pytest.raises(IncompatibleInputError):
         OrientationChar(z4, [1, -1, 1, 1])  # not multiplicative
+
+
+def all_pairs_verdict(table, values):
+    """Oracle for the character check: +-1 values, 1 at the identity and
+    w(ab) = w(a)w(b) on all n^2 pairs."""
+    n = len(table)
+    return (all(v in (1, -1) for v in values) and values[0] == 1
+            and all(values[table[a][b]] == values[a] * values[b]
+                    for a in range(n) for b in range(n)))
+
+
+def character_groups():
+    groups = dict(standard_library())
+    groups["z2 x klein4"] = direct_product(cyclic_group(2), klein_four_group())
+    groups["s3 x z2"] = direct_product(symmetric_group_3(), cyclic_group(2))
+    return groups
+
+
+def test_generator_multiplicativity_refuses_what_all_pairs_refuse():
+    rng = random.Random(20261019)
+    by_multiplicativity = 0
+    for name, group in sorted(character_groups().items()):
+        n = group.order
+        for w in all_characters(group):
+            for _ in range(60):
+                values = list(w.values)
+                for _ in range(rng.randint(1, 3)):
+                    values[rng.randrange(n)] *= -1
+                expected = all_pairs_verdict(group.table, values)
+                try:
+                    OrientationChar(group, values)
+                    accepted = True
+                except IncompatibleInputError as exc:
+                    accepted = False
+                    if "not multiplicative" in str(exc):
+                        by_multiplicativity += 1
+                assert accepted == expected, (name, values)
+    # Most perturbations keep 1 at the identity, so only the
+    # multiplicativity check refuses them.
+    assert by_multiplicativity >= 1000, by_multiplicativity
+
+
+def test_all_characters_are_every_multiplicative_sign_vector():
+    for name, group in sorted(character_groups().items()):
+        n = group.order
+        expected = sorted(
+            (tuple(values) for values in itertools.product((1, -1), repeat=n)
+             if all_pairs_verdict(group.table, values)), reverse=True)
+        assert [w.values for w in all_characters(group)] == expected, name
 
 
 def test_character_restriction():

@@ -5,7 +5,8 @@ Each census case starts from a valid group, free module and hermitian form
 file and breaks one of them: wrong types, ragged rows, huge sizes, deep
 nesting, tables that are not groups, characters and actions that are not
 multiplicative, and forms that are not hermitian.  The group breakages also
-run through ``gammalab orbit``.  Resolution cases start from the periodic
+run through ``gammalab orbit``.  A boolean, a float or a string in the last
+entry of a large module action or group table must be named in the message.  Resolution cases start from the periodic
 resolution of a cyclic group, or the chain resolution of ``Z/3``, and break
 it: ragged or missing boundaries, coefficient vectors of the wrong length,
 negative or huge ranks, deep nesting, and complexes that do not compose to
@@ -26,8 +27,8 @@ import random
 import pytest
 
 from gammalab import cli
-from gammalab.builtins import (cyclic_group, klein_four_group,
-                               symmetric_group_3)
+from gammalab.builtins import (cyclic_group, direct_product,
+                               klein_four_group, symmetric_group_3)
 from gammalab.classify import hermitian_closure
 from gammalab.groups import GroupRingElement, all_characters
 from gammalab.modules import free_module
@@ -282,6 +283,42 @@ def test_malformed_group_through_orbit_exits_two(kind, tmp_path, capsys):
         text = text or json.dumps(group_doc)
         assert_input_error(orbit_argv(tmp_path, text), capsys,
                            (kind, case, text[:200]))
+
+
+# -- junk in the last entry of a large file ----------------------------------
+
+LAST_ENTRY_JUNK = {"true": True, "float": 1.5, "string": "1"}
+
+
+@pytest.mark.parametrize("target", ["module", "group"])
+@pytest.mark.parametrize("junk", sorted(LAST_ENTRY_JUNK))
+def test_junk_in_the_last_entry_is_named(target, junk, tmp_path, capsys):
+    """A boolean, a float or a string as the very last integer of the free
+    module of rank 3 over S3 x Z2 (12 matrices of 36 x 36) or of that
+    group's table: the loaders check whole rows at once, and must still
+    name the entry."""
+    group = direct_product(symmetric_group_3(), cyclic_group(2))
+    n = group.order
+    group_doc = {"order": n, "table": [list(row) for row in group.table]}
+    module = free_module(group, 3)
+    module_doc = {"ngens": module.underlying.ngens, "relations": [],
+                  "action": {str(g): module.action[g].data
+                             for g in range(n)}}
+    value = LAST_ENTRY_JUNK[junk]
+    if target == "module":
+        module_doc["action"][str(n - 1)][-1][-1] = value
+        field = f"action['{n - 1}'][{module.underlying.ngens - 1}]"
+    else:
+        group_doc["table"][-1][-1] = value
+        field = f"table[{n - 1}]"
+    paths = {kind: write_file(tmp_path, kind, json.dumps(doc))
+             for kind, doc in (("group", group_doc), ("module", module_doc))}
+    code = cli.main(["census", "--group", paths["group"], "--module",
+                     paths["module"]])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == (f"error: {paths[target]}: field '{field}' must be an "
+                   f"integer, got {value!r}\n")
 
 
 # -- resolutions through ``gammalab homology --resolution file`` -------------

@@ -22,8 +22,8 @@ import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import IncompatibleInputError
-from .intmat import (IntMatrix, bezout_combination, elementary_divisors,
-                     smith_normal_form)
+from .intmat import (IntMatrix, bezout_combination, divisor_chain,
+                     elementary_divisors, smith_normal_form)
 
 
 def format_invariants(rank: int, factors: Sequence[int]) -> str:
@@ -38,29 +38,11 @@ def format_invariants(rank: int, factors: Sequence[int]) -> str:
 
 
 def cyclic_invariants(rank: int, factors: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
-    """Invariants of ``Z^rank + Z/d_1 + Z/d_2 + ...``, by arithmetic alone.
-
-    A factor ``0`` adds a free summand, ``±1`` drops out, and ``-d`` counts
-    as ``d``.  Each remaining order is inserted into a divisor chain from
-    the top down, using ``Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b)``: the lcm
-    stays in place and the gcd moves on, until it is a multiple of the
-    chain entry below it.
-    """
-    chain: List[int] = []
-    for d in factors:
-        d = abs(d)
-        if d == 0:
-            rank += 1
-            continue
-        j = len(chain)
-        while d > 1 and j > 0 and d % chain[j - 1]:
-            g = math.gcd(d, chain[j - 1])
-            chain[j - 1] = chain[j - 1] // g * d
-            d = g
-            j -= 1
-        if d > 1:
-            chain.insert(j, d)
-    return rank, tuple(chain)
+    """Invariants of ``Z^rank + Z/d_1 + Z/d_2 + ...``, by arithmetic alone:
+    a factor ``0`` adds a free summand, and the others go through
+    :func:`~gammalab.intmat.divisor_chain` (``±1`` drops out, ``-d``
+    counts as ``d``)."""
+    return rank + sum(1 for d in factors if d == 0), tuple(divisor_chain(factors))
 
 
 class AbelianPresentation:

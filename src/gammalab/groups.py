@@ -212,6 +212,17 @@ def all_characters(group: FiniteGroup) -> List[OrientationChar]:
 
 
 def _extend_character(group, gens, signs):
+    """The character with ``w(g) = s`` on each generator ``g`` and its sign
+    ``s``, or ``None`` when there is none.
+
+    The walk sets ``w(x·g) = w(x)·s`` along every edge ``(x, g)`` from the
+    identity and refuses a conflict.  In a finite group every element is a
+    product of generators, so the walk reaches them all, and at its end
+    ``w(x·g) = w(x)·w(g)`` holds for every ``x`` and generator ``g``
+    (``w(g) = w(1·g) = s``).  By induction on the length of ``b`` as a
+    product of generators, ``w(x·b) = w(x)·w(b)`` for every ``x`` and
+    ``b``: that is multiplicativity, so no further check is made.
+    """
     values = [0] * group.order
     values[0] = 1
     frontier = [0]
@@ -225,8 +236,6 @@ def _extend_character(group, gens, signs):
                 frontier.append(y)
             elif values[y] != v:
                 return None
-    if any(v == 0 for v in values) or _non_multiplicative_pair(group, values):
-        return None
     return tuple(values)
 
 
@@ -447,6 +456,13 @@ def automorphisms(group: FiniteGroup, cap: int = DEFAULT_AUT_CAP) -> List[Tuple[
 
 
 def _extend_automorphism(group, gens, images):
+    """The automorphism sending each generator to its image, or ``None``.
+
+    As in :func:`_extend_character`, a walk with no conflict gives
+    ``alpha(x·g) = alpha(x)·alpha(g)`` on every edge, and so ``alpha(x·b) =
+    alpha(x)·alpha(b)`` for every ``x`` and ``b``: ``alpha`` is a
+    homomorphism, and only bijectivity is left to check.
+    """
     alpha = [-1] * group.order
     alpha[0] = 0
     frontier = [0]
@@ -460,7 +476,7 @@ def _extend_automorphism(group, gens, images):
                 frontier.append(y)
             elif alpha[y] != v:
                 return None
-    return tuple(alpha) if is_automorphism(group, alpha) else None
+    return tuple(alpha) if len(set(alpha)) == group.order else None
 
 
 def is_automorphism(group: FiniteGroup, alpha: Sequence[int]) -> bool:

@@ -13,6 +13,11 @@ Conventions
 * A sparse matrix is a row count plus a list of columns, each a
   ``{row: value}`` map of its nonzero entries; ``eliminate_units`` and
   ``elementary_divisors`` take this form.
+* ``elementary_divisors`` is the diagonal-only route: sparse unit pivots,
+  then an unlogged diagonalization of the dense remainder, then the
+  divisibility order by ``divisor_chain``.  It never runs
+  ``smith_normal_form``, which stays for the callers that read a
+  transform and as the test oracle.
 * ``smith_normal_form`` returns ``U, D, V`` with ``U * M * V = D``, both
   transforms unimodular, and the diagonal of ``D`` nonnegative with each
   entry dividing the next.  The reduction logs its elementary operations;
@@ -23,6 +28,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 import operator
 from array import array
 from collections import deque
@@ -573,19 +579,103 @@ def eliminate_units(nrows: int, columns: Sequence[Mapping[int, int]]
     return eliminations, rows, rest
 
 
+def _diagonalize(a: List[List[int]]) -> List[int]:
+    """The nonzero entries of a diagonal form of the dense matrix ``a``
+    (a list of equal-length rows), reached in place by unimodular row and
+    column operations that are not logged.
+
+    Each pivot starts as a nonzero entry of smallest absolute value.  Row
+    division steps clear its column; a remainder is smaller than the pivot,
+    so the smallest one becomes the pivot until the column is clear.  The
+    column steps then only reduce the pivot's row modulo the pivot, and a
+    remainder there becomes the pivot in turn.  Every re-pick stays in the
+    pivot's row or column.  The entries are not in divisibility order:
+    :func:`divisor_chain` sorts them out.
+    """
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+    diagonal: List[int] = []
+    for t in range(min(rows, cols)):
+        # Rows from ``t`` on are zero before column ``t``.
+        size = 0
+        for r in range(t, rows):
+            least = min(map(abs, filter(None, a[r])), default=0)
+            if least and (not size or least < size):
+                size, i = least, r
+        if not size:
+            break
+        row = a[i]
+        j = row.index(size) if size in row else row.index(-size)
+        while True:
+            if j != t:
+                for row in a[t:]:
+                    row[t], row[j] = row[j], row[t]
+            while True:
+                a[t], a[i] = a[i], a[t]
+                top = a[t]
+                pivot = top[t]
+                across = [(k, top[k]) for k in range(t + 1, cols) if top[k]]
+                low = 0
+                for r in range(t + 1, rows):
+                    row = a[r]
+                    if row[t]:
+                        q = row[t] // pivot
+                        if q:
+                            row[t] -= q * pivot
+                            for k, x in across:
+                                row[k] -= q * x
+                        if row[t] and (not low or abs(row[t]) < low):
+                            low, i = abs(row[t]), r
+                if not low:
+                    break
+            top[t + 1:] = [x % pivot for x in top[t + 1:]]
+            size = min(map(abs, filter(None, top[t + 1:])), default=0)
+            if not size:
+                diagonal.append(pivot)
+                break
+            # ``top[t]`` is larger than ``size``, and earlier entries are zero.
+            i, j = t, top.index(size) if size in top else top.index(-size)
+    return diagonal
+
+
+def divisor_chain(orders: Sequence[int]) -> List[int]:
+    """The invariant factors of the sum of ``Z/d`` over ``orders``: each
+    ``>= 2`` and dividing the next.  ``-d`` counts as ``d``; ``0`` and
+    ``±1`` add nothing.
+
+    Each order is inserted into the chain from the top down, using ``Z/a +
+    Z/b = Z/gcd(a, b) + Z/lcm(a, b)``: the lcm stays in place and the gcd
+    moves on, until it is a multiple of the chain entry below it.
+    """
+    chain: List[int] = []
+    for d in orders:
+        d = abs(d)
+        j = len(chain)
+        while d > 1 and j > 0 and d % chain[j - 1]:
+            g = math.gcd(d, chain[j - 1])
+            chain[j - 1] = chain[j - 1] // g * d
+            d = g
+            j -= 1
+        if d > 1:
+            chain.insert(j, d)
+    return chain
+
+
 def elementary_divisors(nrows: int, columns: Sequence[Mapping[int, int]]) -> List[int]:
     """The Smith normal form diagonal of the ``nrows x len(columns)`` matrix
     whose ``j``-th column has the nonzero entries ``columns[j]`` (row ->
     value); the same list as ``smith_normal_form(M).diagonal``.
 
-    :func:`eliminate_units` contributes a divisor ``1`` per unit pivot; the
-    dense :func:`smith_normal_form` then finishes the remainder.
+    :func:`eliminate_units` contributes a divisor ``1`` per unit pivot;
+    :func:`_diagonalize` reduces the remainder to a diagonal, with no
+    transforms, and :func:`divisor_chain` puts that in divisibility order.
     """
     eliminations, _, rest = eliminate_units(nrows, columns)
-    units = len(eliminations)
-    nonzero = [d for d in smith_normal_form(rest).diagonal if d]
-    zeros = min(nrows, len(columns)) - units - len(nonzero)
-    return [1] * units + nonzero + [0] * zeros
+    diagonal = _diagonalize(rest.data)
+    chain = divisor_chain(diagonal)
+    ones = len(eliminations) + len(diagonal) - len(chain)
+    zeros = min(nrows, len(columns)) - len(eliminations) - len(diagonal)
+    return [1] * ones + chain + [0] * zeros
 
 
 class SNFSolver:

@@ -206,10 +206,12 @@ def direct_sum_module(a: ZPiModule, b: ZPiModule) -> ZPiModule:
 def module_from_action(group: FiniteGroup, underlying: AbelianPresentation,
                        action: Sequence[IntMatrix], check: bool = True) -> ZPiModule:
     """A module from its action matrices, with the signed-permutation table
-    when the matrices have one."""
+    when the matrices have one.  Without a table the action is not the
+    standard free layout, so the free rank stays unknown."""
     table = signed_permutation_table([mat.data for mat in action])
     module = ZPiModule(group, underlying, action, check=check, table=table)
-    module.zpi_free_rank = detect_free_structure(module)
+    if table is not None:
+        module.zpi_free_rank = detect_free_structure(module)
     return module
 
 

@@ -20,7 +20,7 @@ from .classify import HermitianForm
 from .errors import GammaLabError, ParseError
 from .groups import FiniteGroup, OrientationChar, build_group
 from .intmat import IntMatrix
-from .modules import (ZPiModule, detect_free_structure, module_from_action,
+from .modules import (ZPiModule, detect_free_structure,
                       signed_permutation_table)
 from .resolutions import Resolution
 
@@ -195,9 +195,8 @@ def parse_module(doc: dict, group: FiniteGroup,
         action.append(rows)
     table = signed_permutation_table(action)
     if table is None:
-        return module_from_action(
-            group, underlying, [IntMatrix.from_rows(rows, cols=n)
-                                for rows in action])
+        return ZPiModule(group, underlying, [IntMatrix.from_rows(rows, cols=n)
+                                             for rows in action])
     module = ZPiModule(group, underlying, table=table)
     module.zpi_free_rank = detect_free_structure(module)
     return module

@@ -26,6 +26,7 @@ from gammalab.errors import (
     GroupValidationError,
     IncompatibleInputError,
 )
+from gammalab import groups
 from gammalab.groups import (
     FiniteGroup,
     GroupRingElement,
@@ -36,8 +37,10 @@ from gammalab.groups import (
     bar_involution,
     build_group,
     central_involutions,
+    is_automorphism,
     norm_element,
     subgroup_and_cosets,
+    _extend_automorphism,
 )
 
 
@@ -308,6 +311,21 @@ def test_all_characters_are_every_multiplicative_sign_vector():
         assert [w.values for w in all_characters(group)] == expected, name
 
 
+def test_all_characters_check_multiplicativity_once_each(monkeypatch):
+    calls = []
+    check = groups._non_multiplicative_pair
+
+    def counting(group, values):
+        calls.append(values)
+        return check(group, values)
+
+    monkeypatch.setattr(groups, "_non_multiplicative_pair", counting)
+    d4 = dihedral_group_4()
+    # Only the OrientationChar of each of the four characters checks.
+    assert len(all_characters(d4)) == 4
+    assert len(calls) == 4
+
+
 def test_character_restriction():
     z6 = cyclic_group(6)
     w = nontrivial_char(z6)
@@ -481,6 +499,20 @@ def test_automorphism_counts():
     assert len(automorphisms(symmetric_group_3())) == 6
     assert len(automorphisms(dihedral_group_4(), cap=100)) == 8
     assert len(automorphisms(quaternion_group(), cap=100)) == 24
+
+
+def test_extend_automorphism_refuses_a_walk_that_is_not_injective():
+    # t -> t^2 on Z/4 agrees along every edge of the walk: alpha(x) = 2x.
+    assert _extend_automorphism(cyclic_group(4), [1], [2]) is None
+    for name, group in sorted(standard_library().items()):
+        gens = group.generating_set()
+        accepted = []
+        for images in itertools.product(range(group.order), repeat=len(gens)):
+            alpha = _extend_automorphism(group, gens, images)
+            if alpha is not None:
+                accepted.append(alpha)
+        assert all(is_automorphism(group, alpha) for alpha in accepted), name
+        assert sorted(accepted) == automorphisms(group, cap=100), name
 
 
 def test_automorphisms_are_automorphisms():

@@ -5,8 +5,10 @@ twisted differentials.  Each piece is compared here with the dense generic
 path it replaced, which stays in the package as the oracle:
 
 * ``elementary_divisors`` against the diagonal of the full
-  ``smith_normal_form`` on seeded random matrices, degenerate shapes
-  included;
+  ``smith_normal_form`` on seeded random matrices, scrambled
+  presentations, diagonals that need the gcd/lcm pass (entries above
+  ``2^64`` among them) and degenerate shapes; a pin checks that it, and so
+  ``quadratic_value`` and bar-route homology, runs no Smith normal form;
 * the eliminations ``eliminate_units`` records, replayed on random
   vectors, against membership in the column lattice (``SNFSolver``), and
   its remainder against the cokernel of the whole matrix;
@@ -29,15 +31,17 @@ and on the bar route only ``|T|·(n-1)^k`` of its columns, the same columns
 """
 
 import itertools
+import math
 import random
 
 import pytest
 
-from gammalab import homology
+from gammalab import abelian, homology, intmat
 from gammalab.abelian import AbelianPresentation
 from gammalab.builtins import (cyclic_group, direct_product,
                                klein_four_group, standard_library)
 from gammalab.errors import BudgetExceededError, IncompatibleInputError
+from gammalab.gamma import quadratic_value
 from gammalab.groups import OrientationChar, all_characters
 from gammalab.homology import (MAX_DEGREE, _reduce, group_homology,
                                induced_homology_maps,
@@ -83,6 +87,48 @@ def random_matrix(rng, rows, cols, entries, density):
                                   for _ in range(rows)])
 
 
+def random_unimodular(rng, n):
+    """Row additions, sign flips and a row shuffle of the ``n x n`` identity."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        m[i] = [a + q * b for a, b in zip(m[i], m[j])]
+    for i in range(n):
+        if rng.random() < 0.5:
+            m[i] = [-a for a in m[i]]
+    rng.shuffle(m)
+    return IntMatrix(n, n, m)
+
+
+def scrambled(rng, orders, free, units):
+    """``P · diag(orders, 0^free, 1^units) · Q`` for random unimodular
+    ``P`` and ``Q``: a presentation of ``Z^free + sum Z/d``."""
+    diagonal = IntMatrix.diagonal(list(orders) + [0] * free + [1] * units)
+    n = diagonal.rows
+    return random_unimodular(rng, n) @ diagonal @ random_unimodular(rng, n)
+
+
+# Diagonals whose entries are not a divisor chain, with their invariant
+# factors by hand (prime by prime); the last two need more than 64 bits.
+CHAIN_CASES = [
+    ([2, 3], [1, 6]),
+    ([4, 6], [2, 12]),
+    ([6, 10, 15], [1, 30, 30]),
+    ([2 ** 65, 3 * 2 ** 64], [2 ** 64, 3 * 2 ** 65]),
+    ([3 * 2 ** 64, 5 * 2 ** 64, 7], [1, 2 ** 64, 105 * 2 ** 64]),
+]
+
+
+def assert_matches_smith_normal_form(m):
+    columns = sparse_columns(m)
+    snapshot = [dict(col) for col in columns]
+    divisors = elementary_divisors(m.rows, columns)
+    assert divisors == smith_normal_form(m).diagonal, m
+    assert columns == snapshot  # the input is left untouched
+    return divisors
+
+
 def test_elementary_divisors_match_smith_normal_form():
     rng = random.Random(20030101)
     families = [
@@ -97,14 +143,52 @@ def test_elementary_divisors_match_smith_normal_form():
         rows, cols = rng.randint(0, top), rng.randint(0, top)
         entries = families[trial % len(families)]
         density = rng.choice((0.0, 0.2, 0.5, 1.0))
-        m = random_matrix(rng, rows, cols, entries, density)
-        columns = sparse_columns(m)
-        snapshot = [dict(col) for col in columns]
-        expected = smith_normal_form(m).diagonal
-        assert elementary_divisors(rows, columns) == expected, m
-        assert columns == snapshot  # the input is left untouched
+        assert_matches_smith_normal_form(
+            random_matrix(rng, rows, cols, entries, density))
         checked += 1
     assert checked >= 1000
+    # Scrambled presentations: the nonzero divisors multiply to the order
+    # of the torsion, and the zeros count the free rank.
+    for trial in range(300):
+        orders = [rng.choice((2, 3, 4, 5, 6, 8, 9, 12, 30))
+                  for _ in range(rng.randint(0, 4))]
+        free, units = rng.randint(0, 2), rng.randint(0, 4)
+        divisors = assert_matches_smith_normal_form(
+            scrambled(rng, orders, free, units))
+        assert divisors.count(0) == free, orders
+        assert math.prod(d for d in divisors if d) == math.prod(orders)
+    # Diagonals that need Z/a + Z/b = Z/gcd + Z/lcm, as they stand and
+    # scrambled.
+    for entries, factors in CHAIN_CASES:
+        diagonal = IntMatrix.diagonal(entries)
+        assert assert_matches_smith_normal_form(diagonal) == factors
+        for _ in range(5):
+            assert assert_matches_smith_normal_form(
+                scrambled(rng, entries, 0, 0)) == factors, entries
+    # Empty and all-zero shapes.
+    for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 4), (4, 1), (3, 3)]:
+        divisors = assert_matches_smith_normal_form(IntMatrix(rows, cols))
+        assert divisors == [0] * min(rows, cols)
+
+
+def test_diagonal_callers_run_no_smith_normal_form(monkeypatch):
+    rows = [[4, 6, 10], [2, 12, 8], [0, 9, 15]]
+    group = standard_library()["s3"]
+    w = all_characters(group)[1]
+    expected = (quadratic_value(AbelianPresentation.from_relation_rows(
+        3, rows)).invariant_factors(),
+        group_homology(group, w, 2, provider="bar").invariant_factors())
+
+    def refuse(m):
+        raise AssertionError("the diagonal route ran a Smith normal form")
+
+    # ``abelian`` holds its own reference, which ``_canon`` would use.
+    monkeypatch.setattr(intmat, "smith_normal_form", refuse)
+    monkeypatch.setattr(abelian, "smith_normal_form", refuse)
+    assert (quadratic_value(AbelianPresentation.from_relation_rows(
+        3, rows)).invariant_factors(),
+        group_homology(group, w, 2, provider="bar").invariant_factors()
+    ) == expected
 
 
 def test_replayed_eliminations_stay_in_the_cokernel_class():

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from gammalab import modules, serialize
 from gammalab.abelian import AbelianPresentation
 from gammalab.builtins import (
     cyclic_group,
@@ -158,6 +159,29 @@ def test_detect_free_structure_recognizes_standard_layout_only():
     module = module_from_action(k4, AbelianPresentation.free(4), action)
     assert module.zpi_free_rank is None
     assert detect_free_structure(module) is None
+
+
+def test_a_dense_action_runs_the_signed_permutation_detector_once(monkeypatch):
+    z2 = cyclic_group(2)
+    calls = []
+    detect = modules.signed_permutation_table
+
+    def counting(action):
+        calls.append(action)
+        return detect(action)
+
+    monkeypatch.setattr(modules, "signed_permutation_table", counting)
+    monkeypatch.setattr(serialize, "signed_permutation_table", counting)
+    action = [IntMatrix.identity(2), IntMatrix(2, 2, [[1, 0], [1, -1]])]
+    module = module_from_action(z2, AbelianPresentation.free(2), action)
+    assert len(calls) == 1
+    assert module.table is None and module.zpi_free_rank is None
+    calls.clear()
+    module = serialize.parse_module(
+        {"ngens": 2, "action": {"0": [[1, 0], [0, 1]], "1": [[1, 0], [1, -1]]}},
+        z2)
+    assert len(calls) == 1
+    assert module.table is None and module.zpi_free_rank is None
 
 
 def test_detect_free_structure_rejects_non_free():

@@ -13,11 +13,20 @@ Conventions
 * A sparse matrix is a row count plus a list of columns, each a
   ``{row: value}`` map of its nonzero entries; ``eliminate_units`` and
   ``elementary_divisors`` take this form.
-* ``elementary_divisors`` is the diagonal-only route: sparse unit pivots,
-  then an unlogged diagonalization of the dense remainder, then the
-  divisibility order by ``divisor_chain``.  It never runs
-  ``smith_normal_form``, which stays for the callers that read a
-  transform and as the test oracle.
+* The diagonal-only routes never run ``smith_normal_form``, which stays
+  for the callers that read a transform and as the test oracle.  There is
+  a dense route and a sparse route, and they meet in one tail,
+  ``dense_elementary_divisors``: an unlogged diagonalization of dense
+  rows that takes unit pivots first, then the divisibility order by
+  ``divisor_chain``.  Dense callers, such as the relation rows of a small
+  presentation, call the tail directly.  ``elementary_divisors`` is the
+  sparse route: it eliminates the unit pivots of sparse columns first and
+  hands the tail the dense remainder.  It serves the bar differentials of
+  homology (up to thousands of rows and columns, where a dense pass would
+  cost cubic time), the stored and periodic resolutions it also reads,
+  ``Resolution.validate``, module sizes and large relation matrices, which
+  are mostly zeros; ``eliminate_units`` also serves the orbit route of
+  homology.
 * ``smith_normal_form`` returns ``U, D, V`` with ``U * M * V = D``, both
   transforms unimodular, and the diagonal of ``D`` nonnegative with each
   entry dividing the next.  The reduction logs its elementary operations;
@@ -584,58 +593,99 @@ def _diagonalize(a: List[List[int]]) -> List[int]:
     (a list of equal-length rows), reached in place by unimodular row and
     column operations that are not logged.
 
-    Each pivot starts as a nonzero entry of smallest absolute value.  Row
-    division steps clear its column; a remainder is smaller than the pivot,
-    so the smallest one becomes the pivot until the column is clear.  The
-    column steps then only reduce the pivot's row modulo the pivot, and a
-    remainder there becomes the pivot in turn.  Every re-pick stays in the
-    pivot's row or column.  The entries are not in divisibility order:
-    :func:`divisor_chain` sorts them out.
+    Each pivot is a unit when one is left (:func:`_clear_unit`), and an
+    entry of least absolute value otherwise (:func:`_clear_least`); no
+    entry is smaller than a unit, so this is the least entry either way.
+    The entries are not in divisibility order: :func:`divisor_chain` sorts
+    them out.
     """
-    rows = len(a)
-    cols = len(a[0]) if a else 0
     diagonal: List[int] = []
-    for t in range(min(rows, cols)):
-        # Rows from ``t`` on are zero before column ``t``.
-        size = 0
-        for r in range(t, rows):
-            least = min(map(abs, filter(None, a[r])), default=0)
-            if least and (not size or least < size):
-                size, i = least, r
-        if not size:
+    for t in range(min(len(a), len(a[0]) if a else 0)):
+        pivot = _clear_unit(a, t) or _clear_least(a, t)
+        if not pivot:
             break
-        row = a[i]
-        j = row.index(size) if size in row else row.index(-size)
-        while True:
-            if j != t:
-                for row in a[t:]:
-                    row[t], row[j] = row[j], row[t]
-            while True:
-                a[t], a[i] = a[i], a[t]
-                top = a[t]
-                pivot = top[t]
-                across = [(k, top[k]) for k in range(t + 1, cols) if top[k]]
-                low = 0
-                for r in range(t + 1, rows):
-                    row = a[r]
-                    if row[t]:
-                        q = row[t] // pivot
-                        if q:
-                            row[t] -= q * pivot
-                            for k, x in across:
-                                row[k] -= q * x
-                        if row[t] and (not low or abs(row[t]) < low):
-                            low, i = abs(row[t]), r
-                if not low:
-                    break
-            top[t + 1:] = [x % pivot for x in top[t + 1:]]
-            size = min(map(abs, filter(None, top[t + 1:])), default=0)
-            if not size:
-                diagonal.append(pivot)
-                break
-            # ``top[t]`` is larger than ``size``, and earlier entries are zero.
-            i, j = t, top.index(size) if size in top else top.index(-size)
+        diagonal.append(pivot)
     return diagonal
+
+
+def _clear_unit(a: List[List[int]], t: int) -> int:
+    """Move a ``1`` or ``-1`` of the first row from ``t`` on that holds one
+    to ``(t, t)`` and clear the column below it, in one pass of row steps
+    with no remainder.  The column steps are left out: they would only
+    clear row ``t``, which no later step reads.  Returns the pivot, or
+    ``0``, having done nothing, when no row from ``t`` on holds a unit."""
+    for i in range(t, len(a)):
+        top = a[i]
+        if 1 in top or -1 in top:
+            break
+    else:
+        return 0
+    a[t], a[i] = top, a[t]
+    j = top.index(1) if 1 in top else top.index(-1)
+    if j != t:
+        for row in a[t:]:
+            row[t], row[j] = row[j], row[t]
+    pivot = top[t]
+    across = [(k, top[k]) for k in range(t + 1, len(top)) if top[k]]
+    for row in a[t + 1:]:
+        # ``row[t] // pivot``, as a unit is its own inverse.
+        q = row[t] * pivot
+        if q:
+            row[t] = 0
+            for k, x in across:
+                row[k] -= q * x
+    return pivot
+
+
+def _clear_least(a: List[List[int]], t: int) -> int:
+    """Clear row and column ``t`` from a pivot of least absolute value.
+
+    Row division steps clear its column; a remainder is smaller than the
+    pivot, so the smallest one becomes the pivot until the column is clear.
+    The column steps then only reduce the pivot's row modulo the pivot, and
+    a remainder there becomes the pivot in turn.  Every re-pick stays in
+    the pivot's row or column.  Returns the pivot, or ``0``, having done
+    nothing, when the rows from ``t`` on are zero.
+    """
+    rows, cols = len(a), len(a[0])
+    # Rows from ``t`` on are zero before column ``t``.
+    size = 0
+    for r in range(t, rows):
+        least = min(map(abs, filter(None, a[r])), default=0)
+        if least and (not size or least < size):
+            size, i = least, r
+    if not size:
+        return 0
+    row = a[i]
+    j = row.index(size) if size in row else row.index(-size)
+    while True:
+        if j != t:
+            for row in a[t:]:
+                row[t], row[j] = row[j], row[t]
+        while True:
+            a[t], a[i] = a[i], a[t]
+            top = a[t]
+            pivot = top[t]
+            across = [(k, top[k]) for k in range(t + 1, cols) if top[k]]
+            low = 0
+            for r in range(t + 1, rows):
+                row = a[r]
+                if row[t]:
+                    q = row[t] // pivot
+                    if q:
+                        row[t] -= q * pivot
+                        for k, x in across:
+                            row[k] -= q * x
+                    if row[t] and (not low or abs(row[t]) < low):
+                        low, i = abs(row[t]), r
+            if not low:
+                break
+        top[t + 1:] = [x % pivot for x in top[t + 1:]]
+        size = min(map(abs, filter(None, top[t + 1:])), default=0)
+        if not size:
+            return pivot
+        # ``top[t]`` is larger than ``size``, and earlier entries are zero.
+        i, j = t, top.index(size) if size in top else top.index(-size)
 
 
 def divisor_chain(orders: Sequence[int]) -> List[int]:
@@ -661,21 +711,36 @@ def divisor_chain(orders: Sequence[int]) -> List[int]:
     return chain
 
 
+def dense_elementary_divisors(rows: Sequence[Sequence[int]],
+                              length: int) -> List[int]:
+    """The Smith normal form diagonal, padded to ``length`` entries, of the
+    matrix with the given dense rows.
+
+    With ``length = min(rows, cols)`` this is
+    ``smith_normal_form(M).diagonal`` for the matrix ``M`` with these rows,
+    and equally with these columns: a matrix and its transpose have the
+    same diagonal.  :func:`_diagonalize` reduces a copy of the rows, so the
+    input is left as it is, :func:`divisor_chain` puts the result in
+    divisibility order, and ones and zeros pad it to ``length``.
+    """
+    diagonal = _diagonalize([list(row) for row in rows])
+    chain = divisor_chain(diagonal)
+    ones = len(diagonal) - len(chain)
+    return [1] * ones + chain + [0] * (length - len(diagonal))
+
+
 def elementary_divisors(nrows: int, columns: Sequence[Mapping[int, int]]) -> List[int]:
     """The Smith normal form diagonal of the ``nrows x len(columns)`` matrix
     whose ``j``-th column has the nonzero entries ``columns[j]`` (row ->
     value); the same list as ``smith_normal_form(M).diagonal``.
 
-    :func:`eliminate_units` contributes a divisor ``1`` per unit pivot;
-    :func:`_diagonalize` reduces the remainder to a diagonal, with no
-    transforms, and :func:`divisor_chain` puts that in divisibility order.
+    :func:`eliminate_units` contributes a divisor ``1`` per unit pivot, and
+    :func:`dense_elementary_divisors` finishes the dense remainder.
     """
     eliminations, _, rest = eliminate_units(nrows, columns)
-    diagonal = _diagonalize(rest.data)
-    chain = divisor_chain(diagonal)
-    ones = len(eliminations) + len(diagonal) - len(chain)
-    zeros = min(nrows, len(columns)) - len(eliminations) - len(diagonal)
-    return [1] * ones + chain + [0] * zeros
+    units = len(eliminations)
+    return [1] * units + dense_elementary_divisors(
+        rest.data, min(nrows, len(columns)) - units)
 
 
 class SNFSolver:

@@ -4,11 +4,14 @@
 twisted differentials.  Each piece is compared here with the dense generic
 path it replaced, which stays in the package as the oracle:
 
-* ``elementary_divisors`` against the diagonal of the full
-  ``smith_normal_form`` on seeded random matrices, scrambled
-  presentations, diagonals that need the gcd/lcm pass (entries above
-  ``2^64`` among them) and degenerate shapes; a pin checks that it, and so
-  ``quadratic_value`` and bar-route homology, runs no Smith normal form;
+* ``elementary_divisors``, ``dense_elementary_divisors`` on the rows and
+  on the transpose, and ``invariant_factors`` of the rows against the
+  diagonal of the full ``smith_normal_form`` on seeded random matrices,
+  scrambled presentations, diagonals that need the gcd/lcm pass (entries
+  above ``2^64`` among them) and degenerate shapes; pins check that
+  ``quadratic_value`` and bar-route homology run no Smith normal form, and
+  that ``invariant_factors`` of a small presentation runs no sparse
+  elimination;
 * the eliminations ``eliminate_units`` records, replayed on random
   vectors, against membership in the column lattice (``SNFSolver``), and
   its remainder against the cokernel of the whole matrix;
@@ -46,7 +49,8 @@ from gammalab.groups import OrientationChar, all_characters
 from gammalab.homology import (MAX_DEGREE, _reduce, group_homology,
                                induced_homology_maps,
                                quotient_of_kernel_by_image)
-from gammalab.intmat import (IntMatrix, SNFSolver, elementary_divisors,
+from gammalab.intmat import (IntMatrix, SNFSolver,
+                             dense_elementary_divisors, elementary_divisors,
                              eliminate_units, from_sparse_columns,
                              smith_normal_form, sparse_columns)
 from gammalab.resolutions import (Resolution, chain_resolution,
@@ -126,6 +130,18 @@ def assert_matches_smith_normal_form(m):
     divisors = elementary_divisors(m.rows, columns)
     assert divisors == smith_normal_form(m).diagonal, m
     assert columns == snapshot  # the input is left untouched
+    # The dense route, on the rows and on the columns.
+    length = min(m.rows, m.cols)
+    rows, transposed = m.copy(), m.transpose()
+    assert dense_elementary_divisors(rows.data, length) == divisors, m
+    assert dense_elementary_divisors(transposed.data, length) == divisors, m
+    assert rows == m and transposed == m.transpose()
+    # The rows as relations: invariant_factors takes the dense route up to
+    # DENSE_CELLS entries and the sparse one above.
+    nonzero = [d for d in divisors if d]
+    assert AbelianPresentation.from_relation_rows(
+        m.cols, m.data).invariant_factors() == (
+        m.cols - len(nonzero), tuple(d for d in nonzero if d >= 2)), m
     return divisors
 
 
@@ -189,6 +205,26 @@ def test_diagonal_callers_run_no_smith_normal_form(monkeypatch):
         3, rows)).invariant_factors(),
         group_homology(group, w, 2, provider="bar").invariant_factors()
     ) == expected
+
+
+def test_invariant_factors_run_no_sparse_elimination(monkeypatch):
+    rows = [[4, 6, 10], [2, 12, 8], [0, 9, 15], [1, 3, 5]]
+    diagonal = smith_normal_form(IntMatrix.from_rows(rows)).diagonal
+    expected = (3 - sum(1 for d in diagonal if d),
+                tuple(d for d in diagonal if d >= 2))
+    gamma_expected = quadratic_value(AbelianPresentation.from_relation_rows(
+        3, rows, expected)).invariant_factors()
+
+    def refuse(nrows, columns):
+        raise AssertionError("invariant_factors ran the sparse elimination")
+
+    # Bar-route homology still takes the sparse unit pivots, so it stays
+    # outside the patch (see the test above).
+    monkeypatch.setattr(intmat, "eliminate_units", refuse)
+    assert AbelianPresentation.from_relation_rows(
+        3, rows).invariant_factors() == expected
+    assert quadratic_value(AbelianPresentation.from_relation_rows(
+        3, rows)).invariant_factors() == gamma_expected
 
 
 def test_replayed_eliminations_stay_in_the_cokernel_class():

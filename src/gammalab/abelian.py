@@ -24,16 +24,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .errors import IncompatibleInputError
 from .intmat import (IntMatrix, bezout_combination,
                      dense_elementary_divisors, divisor_chain,
-                     elementary_divisors, smith_normal_form)
-
-# Relation matrices of at most this many entries, the size of a presentation
-# with ten generators and ten relations, go through a dense diagonalization,
-# which skips the sparse route's dicts.  On larger ones, which are mostly
-# zeros, a dense pass costs more than the sparse unit elimination: 190 ms
-# against 3 ms on the 600 x 300 relation rows, with 1,188 nonzeros, of the
-# coinvariants of Gamma of the free module of rank 3 over the dihedral
-# group of order 8.
-DENSE_CELLS = 100
+                     smith_normal_form)
 
 
 def format_invariants(rank: int, factors: Sequence[int]) -> str:
@@ -130,21 +121,13 @@ class AbelianPresentation:
         dividing the next.
 
         They are read off the nonzero elementary divisors of the relation
-        rows.  Up to :data:`DENSE_CELLS` entries the rows are diagonalized
-        as they stand (:func:`~gammalab.intmat.dense_elementary_divisors`);
-        larger matrices, such as the relation rows of twisted coinvariants,
-        take the sparse route, which skips their zeros."""
+        rows, diagonalized as they stand
+        (:func:`~gammalab.intmat.dense_elementary_divisors`): the rows and
+        the columns of a matrix have the same divisors."""
         if self._invariants is None:
             relations = self.relations
-            if relations.rows * self.ngens <= DENSE_CELLS:
-                divisors = dense_elementary_divisors(
-                    relations.data, min(relations.rows, self.ngens))
-            else:
-                # The relation rows are the columns of the transpose.
-                divisors = elementary_divisors(self.ngens, [
-                    {j: v for j, v in enumerate(row) if v}
-                    for row in relations.data])
-            nonzero = [d for d in divisors if d]
+            nonzero = [d for d in dense_elementary_divisors(
+                relations.data, min(relations.rows, self.ngens)) if d]
             rank = self.ngens - len(nonzero)
             torsion = tuple(d for d in nonzero if d >= 2)
             self._invariants = (rank, torsion)

@@ -255,14 +255,9 @@ def quadratic_module(module):
     signed-permutation module is one too, since the functor sends ``e.x`` to
     ``e^2`` times the square of ``x``: ``g`` sends ``v_x`` to ``v_gx`` and
     ``w_xy`` to ``e_x.e_y.w_(gx)(gy)``.  Its table is built directly, so
-    the twisted coinvariants take the orbit route.  Any other module gets
-    induced matrices and the relation-row route.
-
-    The value of a checked module is not checked again: the functor sends
-    the identity to the identity and ``g.h`` to the composite of the
-    images of ``g`` and ``h``, so it sends an action to an action.  A
-    module built with ``check=False`` was not checked here, so its value
-    is, by composing tables or multiplying matrices.
+    the twisted coinvariants take the orbit route; the module check then
+    composes tables.  Any other module gets induced matrices and the
+    relation-row route.
     """
     from .modules import ZPiModule
 
@@ -275,8 +270,7 @@ def quadratic_module(module):
     if module.table is None:
         action = [induced_matrix(module.action_matrix(g))
                   for g in range(module.group.order)]
-        return ZPiModule(module.group, value, action,
-                         check=not module.checked)
+        return ZPiModule(module.group, value, action)
     start = _pair_starts(n)
     # The position of w_ab, for a and b in either order.
     pair = [[start[a] + b if a < b else start[b] + a for b in range(n)]
@@ -290,5 +284,4 @@ def quadratic_module(module):
                 pairs.append(row[images[j]])
                 pair_signs.append(sign * signs[j])
         table.append((images + pairs, [1] * n + pair_signs))
-    return ZPiModule(module.group, value, check=not module.checked,
-                     table=table)
+    return ZPiModule(module.group, value, table=table)

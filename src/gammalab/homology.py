@@ -21,7 +21,6 @@ kernel-modulo-image route, stays as an independent oracle.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -91,23 +90,14 @@ def _check_degree(k: int) -> None:
 SparseDifferential = Tuple[int, List[Dict[int, int]]]
 
 
-# The set ``T`` of each group, found once: a group's table is a tuple of
-# tuples, so the set never changes.
-_GENERATORS: "weakref.WeakKeyDictionary[FiniteGroup, Tuple[int, ...]]" = \
-    weakref.WeakKeyDictionary()
-
-
 def _irredundant_generators(group: FiniteGroup) -> List[int]:
     """``group.generating_set()`` less each member the others generate."""
-    gens = _GENERATORS.get(group)
-    if gens is None:
-        gens = group.generating_set()
-        for g in list(gens):
-            rest = [h for h in gens if h != g]
-            if len(group._closure(rest)) == group.order:
-                gens = rest
-        gens = _GENERATORS[group] = tuple(gens)
-    return list(gens)
+    gens = group.generating_set()
+    for g in list(gens):
+        rest = [h for h in gens if h != g]
+        if len(group._closure(rest)) == group.order:
+            gens = rest
+    return gens
 
 
 def _twisted_differential(group: FiniteGroup, w: OrientationChar, k: int,

@@ -14,19 +14,18 @@ Conventions
   ``{row: value}`` map of its nonzero entries; ``eliminate_units`` and
   ``elementary_divisors`` take this form.
 * The diagonal-only routes never run ``smith_normal_form``, which stays
-  for the callers that read a transform and as the test oracle.  There is
-  a dense route and a sparse route, and they meet in one tail,
-  ``dense_elementary_divisors``: an unlogged diagonalization of dense
-  rows that takes unit pivots first, then the divisibility order by
-  ``divisor_chain``.  Dense callers, such as the relation rows of a small
-  presentation, call the tail directly.  ``elementary_divisors`` is the
-  sparse route: it eliminates the unit pivots of sparse columns first and
-  hands the tail the dense remainder.  It serves the bar differentials of
-  homology (up to thousands of rows and columns, where a dense pass would
-  cost cubic time), the stored and periodic resolutions it also reads,
-  ``Resolution.validate``, module sizes and large relation matrices, which
-  are mostly zeros; ``eliminate_units`` also serves the orbit route of
-  homology.
+  for the callers that read a transform and as the test oracle.  A dense
+  route and a sparse route meet in one tail, ``dense_elementary_divisors``:
+  an unlogged diagonalization of dense rows that takes unit pivots first
+  and drops each row that becomes zero, then the divisibility order by
+  ``divisor_chain``.  The relation rows of a presentation go to the tail
+  as they stand.  ``elementary_divisors`` is the sparse route: it
+  eliminates the unit pivots of sparse columns, picked to keep fill-in
+  low, and hands the tail the dense remainder.  It serves the bar
+  differentials of homology (up to 2,401 x 4,802, where a dense pass would
+  take cubic time), stored and periodic resolutions,
+  ``Resolution.validate`` and module sizes; ``eliminate_units`` also
+  serves the orbit route of homology.
 * ``smith_normal_form`` returns ``U, D, V`` with ``U * M * V = D``, both
   transforms unimodular, and the diagonal of ``D`` nonnegative with each
   entry dividing the next.  The reduction logs its elementary operations;
@@ -42,6 +41,7 @@ import operator
 from array import array
 from collections import deque
 from functools import cached_property
+from itertools import compress
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
@@ -590,102 +590,91 @@ def eliminate_units(nrows: int, columns: Sequence[Mapping[int, int]]
 
 def _diagonalize(a: List[List[int]]) -> List[int]:
     """The nonzero entries of a diagonal form of the dense matrix ``a``
-    (a list of equal-length rows), reached in place by unimodular row and
+    (a list of equal-length rows, used up), reached by unimodular row and
     column operations that are not logged.
 
-    Each pivot is a unit when one is left (:func:`_clear_unit`), and an
-    entry of least absolute value otherwise (:func:`_clear_least`); no
-    entry is smaller than a unit, so this is the least entry either way.
-    The entries are not in divisibility order: :func:`divisor_chain` sorts
-    them out.
+    While some row holds a ``1`` or ``-1``, the first such row gives the
+    pivot, and one pass of row steps clears its column with no remainder.
+    The pivot row then leaves the matrix, and so does each row the steps
+    make zero: the column steps would only clear the pivot row, and a zero
+    row adds nothing.  So a mostly-zero matrix shrinks as it goes.
+
+    What is left holds no unit.  Each of its pivots starts as a nonzero
+    entry of smallest absolute value.  Row division steps clear its column;
+    a remainder is smaller than the pivot, so the smallest one becomes the
+    pivot until the column is clear.  The column steps then only reduce the
+    pivot's row modulo the pivot, and a remainder there becomes the pivot
+    in turn.  Every re-pick stays in the pivot's row or column.  The
+    entries are not in divisibility order: :func:`divisor_chain` sorts them
+    out.
     """
     diagonal: List[int] = []
-    for t in range(min(len(a), len(a[0]) if a else 0)):
-        pivot = _clear_unit(a, t) or _clear_least(a, t)
-        if not pivot:
+    a = [row for row in a if any(row)]
+    while True:
+        for i, top in enumerate(a):
+            if 1 in top or -1 in top:
+                break
+        else:
             break
-        diagonal.append(pivot)
-    return diagonal
-
-
-def _clear_unit(a: List[List[int]], t: int) -> int:
-    """Move a ``1`` or ``-1`` of the first row from ``t`` on that holds one
-    to ``(t, t)`` and clear the column below it, in one pass of row steps
-    with no remainder.  The column steps are left out: they would only
-    clear row ``t``, which no later step reads.  Returns the pivot, or
-    ``0``, having done nothing, when no row from ``t`` on holds a unit."""
-    for i in range(t, len(a)):
-        top = a[i]
-        if 1 in top or -1 in top:
-            break
-    else:
-        return 0
-    a[t], a[i] = top, a[t]
-    j = top.index(1) if 1 in top else top.index(-1)
-    if j != t:
-        for row in a[t:]:
-            row[t], row[j] = row[j], row[t]
-    pivot = top[t]
-    across = [(k, top[k]) for k in range(t + 1, len(top)) if top[k]]
-    for row in a[t + 1:]:
-        # ``row[t] // pivot``, as a unit is its own inverse.
-        q = row[t] * pivot
-        if q:
-            row[t] = 0
+        del a[i]
+        j = top.index(1) if 1 in top else top.index(-1)
+        pivot = top[j]
+        across = [(k, top[k]) for k in compress(range(len(top)), top)]
+        # The rows that meet the pivot's column, last first, so that
+        # dropping one leaves the positions still to come as they are.
+        for r in reversed(list(compress(range(len(a)),
+                                        map(operator.itemgetter(j), a)))):
+            row = a[r]
+            # ``row[j] // pivot``, as a unit is its own inverse.
+            q = row[j] * pivot
             for k, x in across:
                 row[k] -= q * x
-    return pivot
-
-
-def _clear_least(a: List[List[int]], t: int) -> int:
-    """Clear row and column ``t`` from a pivot of least absolute value.
-
-    Row division steps clear its column; a remainder is smaller than the
-    pivot, so the smallest one becomes the pivot until the column is clear.
-    The column steps then only reduce the pivot's row modulo the pivot, and
-    a remainder there becomes the pivot in turn.  Every re-pick stays in
-    the pivot's row or column.  Returns the pivot, or ``0``, having done
-    nothing, when the rows from ``t`` on are zero.
-    """
-    rows, cols = len(a), len(a[0])
-    # Rows from ``t`` on are zero before column ``t``.
-    size = 0
-    for r in range(t, rows):
-        least = min(map(abs, filter(None, a[r])), default=0)
-        if least and (not size or least < size):
-            size, i = least, r
-    if not size:
-        return 0
-    row = a[i]
-    j = row.index(size) if size in row else row.index(-size)
-    while True:
-        if j != t:
-            for row in a[t:]:
-                row[t], row[j] = row[j], row[t]
-        while True:
-            a[t], a[i] = a[i], a[t]
-            top = a[t]
-            pivot = top[t]
-            across = [(k, top[k]) for k in range(t + 1, cols) if top[k]]
-            low = 0
-            for r in range(t + 1, rows):
-                row = a[r]
-                if row[t]:
-                    q = row[t] // pivot
-                    if q:
-                        row[t] -= q * pivot
-                        for k, x in across:
-                            row[k] -= q * x
-                    if row[t] and (not low or abs(row[t]) < low):
-                        low, i = abs(row[t]), r
-            if not low:
-                break
-        top[t + 1:] = [x % pivot for x in top[t + 1:]]
-        size = min(map(abs, filter(None, top[t + 1:])), default=0)
+            if not any(row):
+                del a[r]
+        diagonal.append(pivot)
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+    for t in range(min(rows, cols)):
+        # Rows from ``t`` on are zero before column ``t``.
+        size = 0
+        for r in range(t, rows):
+            least = min(map(abs, filter(None, a[r])), default=0)
+            if least and (not size or least < size):
+                size, i = least, r
         if not size:
-            return pivot
-        # ``top[t]`` is larger than ``size``, and earlier entries are zero.
-        i, j = t, top.index(size) if size in top else top.index(-size)
+            break
+        row = a[i]
+        j = row.index(size) if size in row else row.index(-size)
+        while True:
+            if j != t:
+                for row in a[t:]:
+                    row[t], row[j] = row[j], row[t]
+            while True:
+                a[t], a[i] = a[i], a[t]
+                top = a[t]
+                pivot = top[t]
+                across = [(k, top[k]) for k in range(t + 1, cols) if top[k]]
+                low = 0
+                for r in range(t + 1, rows):
+                    row = a[r]
+                    if row[t]:
+                        q = row[t] // pivot
+                        if q:
+                            row[t] -= q * pivot
+                            for k, x in across:
+                                row[k] -= q * x
+                        if row[t] and (not low or abs(row[t]) < low):
+                            low, i = abs(row[t]), r
+                if not low:
+                    break
+            top[t + 1:] = [x % pivot for x in top[t + 1:]]
+            size = min(map(abs, filter(None, top[t + 1:])), default=0)
+            if not size:
+                diagonal.append(pivot)
+                break
+            # ``top[t]`` is larger than ``size``, and earlier entries are zero.
+            i, j = t, top.index(size) if size in top else top.index(-size)
+    return diagonal
 
 
 def divisor_chain(orders: Sequence[int]) -> List[int]:

@@ -35,8 +35,7 @@ class ZPiModule:
 
     The action comes as dense matrices, as a signed-permutation ``table``,
     or both.  A module with only a table builds its matrices on first use
-    of :attr:`action`.  ``checked`` records whether the action was checked
-    on construction; ``check=False`` leaves that to the caller.
+    of :attr:`action`.
     """
 
     def __init__(self, group: FiniteGroup, underlying: AbelianPresentation,
@@ -61,7 +60,6 @@ class ZPiModule:
                     f"expected ({n}, {n})")
         if check:
             self._validate()
-        self.checked = check
 
     def _validate(self) -> None:
         n = self.underlying.ngens

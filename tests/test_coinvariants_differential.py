@@ -8,8 +8,7 @@ elements zero, the same transfer maps, and, for the functor value, a table
 whose matrices are the induced matrices of the action.  The modules: the
 functor value of free modules, trivial, sign, free and regular modules and
 their direct sums, and free or sign modules in a random signed basis, over
-every bundled (group, character).  The module check that the functor
-value of a checked module skips is run on it here as an oracle.
+every bundled (group, character).
 """
 
 import random
@@ -27,7 +26,6 @@ from gammalab.modules import (ZPiModule, direct_sum_module, free_module,
                               regular_module, restrict_module,
                               sign_module, transfer_down,
                               trivial_module, twisted_coinvariants)
-from gammalab.serialize import bundled_names, bundled_path, load_module
 
 # The relation-row route on the functor value of a free module of rank r
 # over a group of order |G| reduces a matrix of about 2 gamma_rank(r|G|)
@@ -168,29 +166,6 @@ def test_tables_are_checked_by_composition():
                        table=table)
     with pytest.raises(IncompatibleInputError, match="not multiplicative"):
         quadratic_module(broken)
-
-
-def test_functor_values_pass_the_module_check():
-    """The value of a checked module is built unchecked, as the functor
-    sends an action to an action; here the check it skips passes on the
-    value of every bundled module, a module without a table, and free
-    modules of rank 1-3 over every bundled group."""
-    library = standard_library()
-    modules = [load_module(bundled_path("module", name),
-                           library[name.split("_")[0]])
-               for name in bundled_names("module")]
-    z2 = library["z2"]
-    modules.append(module_from_action(z2, AbelianPresentation.free(2), [
-        IntMatrix.identity(2), IntMatrix.from_rows([[1, 0], [1, -1]])]))
-    assert len(modules) >= 3 and all(m.checked for m in modules)
-    modules += [free_module(group, rank)
-                for _, group in sorted(library.items())
-                for rank in (1, 2, 3)]
-    for module in modules:
-        value = quadratic_module(module)
-        assert value.checked is not module.checked
-        action = None if value.table is not None else value.action
-        ZPiModule(value.group, value.underlying, action, table=value.table)
 
 
 def _lift_equal(target_rows, target_orbits, got, expected):

@@ -10,8 +10,7 @@ path it replaced, which stays in the package as the oracle:
   scrambled presentations, diagonals that need the gcd/lcm pass (entries
   above ``2^64`` among them) and degenerate shapes; pins check that
   ``quadratic_value`` and bar-route homology run no Smith normal form, and
-  that ``invariant_factors`` of a small presentation runs no sparse
-  elimination;
+  that ``invariant_factors`` runs no sparse elimination;
 * the eliminations ``eliminate_units`` records, replayed on random
   vectors, against membership in the column lattice (``SNFSolver``), and
   its remainder against the cokernel of the whole matrix;
@@ -136,8 +135,7 @@ def assert_matches_smith_normal_form(m):
     assert dense_elementary_divisors(rows.data, length) == divisors, m
     assert dense_elementary_divisors(transposed.data, length) == divisors, m
     assert rows == m and transposed == m.transpose()
-    # The rows as relations: invariant_factors takes the dense route up to
-    # DENSE_CELLS entries and the sparse one above.
+    # The rows as relations.
     nonzero = [d for d in divisors if d]
     assert AbelianPresentation.from_relation_rows(
         m.cols, m.data).invariant_factors() == (

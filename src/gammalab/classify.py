@@ -17,8 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 from .abelian import AbelianPresentation
 from .errors import (IncompatibleInputError, SingularFormError,
                      UnsupportedInputError)
-from .gamma import (gamma_rank, induced_matrix, quadratic_module,
-                    value_of_symmetric_matrix)
+from .gamma import gamma_rank, induced_matrix, quadratic_module
 from .groups import (FiniteGroup, GroupRingElement, OrientationChar,
                      bar_involution, central_involutions)
 from .homology import group_homology
@@ -235,7 +234,30 @@ def lambda_to_gamma(form: HermitianForm) -> List[int]:
     if not check_hermitian(form):
         raise IncompatibleInputError(
             "the matrix is not hermitian for the twisted involution")
-    return value_of_symmetric_matrix(underlying_symmetric_matrix(form))
+    return _symmetric_value(form)
+
+
+def _symmetric_value(form: HermitianForm) -> List[int]:
+    """``value_of_symmetric_matrix(underlying_symmetric_matrix(form))`` for
+    a hermitian form, read straight off its entries: the diagonal, then the
+    upper triangle row by row.  The entry at ``((i, g), (j, h))`` is
+    ``w(h)`` times the coefficient of ``g^-1 h`` in ``matrix[i][j]``; the
+    matrix is symmetric because the form is hermitian, so no check of that
+    is repeated here."""
+    group, signs = form.group, form.w.values
+    order, rank = group.order, form.rank
+    # On the diagonal, g^-1 g is the identity, element 0.
+    out = [signs[g] * form.matrix[i][i].coeffs[0]
+           for i in range(rank) for g in range(order)]
+    rows = [group.table[group.inverse[g]] for g in range(order)]
+    for i in range(rank):
+        for g in range(order):
+            row = rows[g]
+            for j in range(i, rank):
+                coeffs = form.matrix[i][j].coeffs
+                out += [signs[h] * coeffs[row[h]]
+                        for h in range(g + 1 if j == i else 0, order)]
+    return out
 
 
 def _check_form_module_pair(group: FiniteGroup, w: OrientationChar,
@@ -373,8 +395,7 @@ def obstruction_torsion(group: FiniteGroup, w: OrientationChar,
     if pi2.group is not group:
         raise IncompatibleInputError("module belongs to a different group")
     coinv = gamma_coinvariants(pi2, w).presentation
-    torsion, _ = coinv.torsion_part()
-    return torsion
+    return AbelianPresentation.from_factors(0, coinv.torsion)
 
 
 def involution_rank_formula(group: FiniteGroup, w: OrientationChar) -> int:
@@ -475,7 +496,7 @@ def module_census(group: FiniteGroup, w: OrientationChar, pi2: ZPiModule,
 def _report(group: FiniteGroup, w: OrientationChar, pi2: ZPiModule,
             budget: Optional[int], form: Optional[HermitianForm]) -> CensusReport:
     coinv = gamma_coinvariants(pi2, w, budget)
-    torsion, _ = coinv.presentation.torsion_part()
+    torsion = AbelianPresentation.from_factors(0, coinv.presentation.torsion)
     r = involution_rank_formula(group, w)
     k = pi2.zpi_free_rank
     matches = None
@@ -500,13 +521,15 @@ def _report(group: FiniteGroup, w: OrientationChar, pi2: ZPiModule,
     )
     if form is not None:
         # lambda_to_gamma without its second hermitian check.
-        gamma_coords = value_of_symmetric_matrix(underlying_symmetric_matrix(form))
+        gamma_coords = _symmetric_value(form)
         cls = coinv.projection.apply(gamma_coords)
         functional = coinv.presentation.functional_hitting_one(cls)
+        # The functional exists exactly when the gcd of the free canonical
+        # coordinates is 1, which is primitivity modulo torsion.
+        report.lambda_primitive = functional is not None
         if functional is not None:
             functional = coinv.projection.matrix.vec_mat(functional)
         report.lambda_class = gamma_coords
-        report.lambda_primitive = coinv.presentation.is_primitive_mod_torsion(cls)
         report.kappa_functional = functional
         report.form_matrix = [row[:] for row in form.matrix]
     return report

@@ -22,6 +22,7 @@ import os
 import sys
 from typing import Dict, List, Optional
 
+from .abelian import AbelianPresentation
 from .classify import (QuadraticTwoType, census, module_census)
 from .errors import (GammaLabError, GroupValidationError,
                      IncompatibleInputError, ParseError, UnsupportedInputError)
@@ -223,7 +224,7 @@ def cmd_coinvariants(args) -> int:
     group, w = _load_group_and_character(args)
     module = _load_module_for(args, group)
     result = twisted_coinvariants(module, w, budget=_resolve_budget(args))
-    torsion, _ = result.presentation.torsion_part()
+    torsion = AbelianPresentation.from_factors(0, result.presentation.torsion)
     lines = [
         f"coinvariants = {result.presentation.describe()}",
         f"torsion subgroup = {torsion.describe()}",
@@ -346,7 +347,11 @@ def cmd_census(args) -> int:
         report = census(q, budget=_resolve_budget(args))
     else:
         report = module_census(group, w, module, budget=_resolve_budget(args))
-    _emit(args, _census_table(report), _census_doc(report))
+    # Only the format that is printed is built.
+    if args.format == "structured":
+        _emit(args, [], _census_doc(report))
+    else:
+        _emit(args, _census_table(report), {})
     return 0
 
 

@@ -255,9 +255,17 @@ def quadratic_module(module):
     signed-permutation module is one too, since the functor sends ``e.x`` to
     ``e^2`` times the square of ``x``: ``g`` sends ``v_x`` to ``v_gx`` and
     ``w_xy`` to ``e_x.e_y.w_(gx)(gy)``.  Its table is built directly, so
-    the twisted coinvariants take the orbit route; the module check then
-    composes tables.  Any other module gets induced matrices and the
-    relation-row route.
+    the twisted coinvariants take the orbit route.  Any other module gets
+    induced matrices and the relation-row route.
+
+    The value is checked through its input.  The functor sends the identity
+    map to the identity and a composite ``f.g`` to the composite of the
+    induced maps, so when the action on the input is a module action, so is
+    the induced one; the value is free, so it has no relations to preserve.
+    The input's check runs here, on ``n`` basis vectors, even when it was
+    built with ``check=False``, and the value of rank ``n(n+1)/2`` is built
+    unchecked.  An input that fails its own check is refused with its own
+    message, even where the signs it gets wrong square away in the value.
     """
     from .modules import ZPiModule
 
@@ -265,12 +273,13 @@ def quadratic_module(module):
         raise UnsupportedInputError(
             "functor value with a group action is only computed over a free "
             "underlying group; this module carries nontrivial relations")
+    module._validate()
     n = module.underlying.ngens
     value = AbelianPresentation.free(gamma_rank(n))
     if module.table is None:
         action = [induced_matrix(module.action_matrix(g))
                   for g in range(module.group.order)]
-        return ZPiModule(module.group, value, action)
+        return ZPiModule(module.group, value, action, check=False)
     start = _pair_starts(n)
     # The position of w_ab, for a and b in either order.
     pair = [[start[a] + b if a < b else start[b] + a for b in range(n)]
@@ -284,4 +293,4 @@ def quadratic_module(module):
                 pairs.append(row[images[j]])
                 pair_signs.append(sign * signs[j])
         table.append((images + pairs, [1] * n + pair_signs))
-    return ZPiModule(module.group, value, table=table)
+    return ZPiModule(module.group, value, check=False, table=table)

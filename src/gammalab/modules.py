@@ -148,14 +148,19 @@ def signed_permutation_table(action: Sequence[Sequence[Sequence[int]]]
     return table
 
 
-def free_module(group: FiniteGroup, rank: int) -> ZPiModule:
-    """The free module of the given rank; underlying generator ``(i, g)``
+def _free_table(group: FiniteGroup, rank: int) -> SignedTable:
+    """The table of the standard free layout: underlying generator ``(i, g)``
     sits at index ``i * order + g`` and carries the left translation action."""
     n = group.order
-    table = [([i * n + hg for i in range(rank) for hg in row], [1] * (rank * n))
-             for row in group.table]
-    return ZPiModule(group, AbelianPresentation.free(rank * n),
-                     zpi_free_rank=rank, check=False, table=table)
+    return [([i * n + hg for i in range(rank) for hg in row], [1] * (rank * n))
+            for row in group.table]
+
+
+def free_module(group: FiniteGroup, rank: int) -> ZPiModule:
+    """The free module of the given rank, in the layout of :func:`_free_table`."""
+    return ZPiModule(group, AbelianPresentation.free(rank * group.order),
+                     zpi_free_rank=rank, check=False,
+                     table=_free_table(group, rank))
 
 
 def regular_module(group: FiniteGroup) -> ZPiModule:
@@ -231,7 +236,7 @@ def detect_free_structure(module: ZPiModule) -> Optional[int]:
     rank = n // order
     table = module.table or signed_permutation_table(
         [mat.data for mat in module.action])
-    return rank if table == free_module(module.group, rank).table else None
+    return rank if table == _free_table(module.group, rank) else None
 
 
 @dataclass

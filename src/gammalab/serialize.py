@@ -11,8 +11,8 @@ the library uses.
 from __future__ import annotations
 
 import json
+import os
 from importlib import resources
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .abelian import AbelianPresentation
@@ -305,7 +305,9 @@ def load_resolution(path: str, group: FiniteGroup) -> Resolution:
     return parse_resolution(load_document(path), group, origin=path)
 
 
-_DATA_ROOT = resources.files("gammalab") / "data"
+# A plain string: every lookup below goes through os.path, with no path
+# objects built per query.
+_DATA_DIR = str(resources.files("gammalab") / "data")
 
 
 _PREFIXES = {"group": "group_", "module": "module_", "form": "form_"}
@@ -315,35 +317,33 @@ def bundled_names(kind: str) -> List[str]:
     """Names of bundled inputs of a kind: 'group', 'module', or 'form'."""
     prefix = _PREFIXES[kind]
     names = []
-    for entry in _DATA_ROOT.iterdir():
-        name = entry.name
+    for name in os.listdir(_DATA_DIR):
         if name.startswith(prefix) and name.endswith(".json"):
             names.append(name[len(prefix):-len(".json")])
     return sorted(names)
 
 
-def _concrete(entry) -> str:
-    with resources.as_file(entry) as concrete:
-        return str(concrete)
-
-
 def bundled_path(kind: str, name: str) -> str:
-    return _concrete(_DATA_ROOT / f"{_PREFIXES[kind]}{name}.json")
+    return os.path.join(_DATA_DIR, f"{_PREFIXES[kind]}{name}.json")
 
 
 def resolve_input(kind: str, value: str) -> str:
     """Interpret a command-line input as a file path or a bundled name.
 
-    An existing path wins; otherwise the value is looked up among the
-    bundled inputs of the given kind.  A value with a path separator, or
-    ``.`` or ``..``, is never joined onto the data directory.
+    An existing file wins; otherwise the value is looked up among the
+    bundled inputs of the given kind, as the file :func:`bundled_path`
+    names.  Only a plain name, one that is its own base name and is not
+    ``.`` or ``..``, is joined onto the data directory; a value with a path
+    separator never is.  Both lookups work on strings, with
+    :func:`os.path.isfile`, and the data directory is listed only for the
+    error message.
     """
-    if Path(value).is_file():
+    if os.path.isfile(value):
         return value
-    if Path(value).name == value and value not in (".", ".."):
-        entry = _DATA_ROOT / f"{_PREFIXES[kind]}{value}.json"
-        if entry.is_file():
-            return _concrete(entry)
+    if os.path.basename(value) == value and value not in (".", ".."):
+        path = bundled_path(kind, value)
+        if os.path.isfile(path):
+            return path
     names = bundled_names(kind)
     raise ParseError(
         f"'{value}' is neither a readable file nor a bundled {kind} name; "

@@ -128,22 +128,13 @@ class QuadraticValue:
         """Relations: the square of each input relation vector and its
         polarization against each generator, which generate all relations."""
         n = self.source.ngens
-        rank = gamma_rank(n)
-        start = _pair_starts(n)
+        units = IntMatrix.identity(n).data
         rows: List[List[int]] = []
         for rel in self.source.relations.data:
             rows.append(expand_square(rel))
-            # The polarization against e_j: 2 rel_j on v_j, rel_k on w_kj.
-            for j in range(n):
-                row = [0] * rank
-                row[j] = 2 * rel[j]
-                for k in range(j):
-                    row[start[k] + j] = rel[k]
-                for k in range(j + 1, n):
-                    row[start[j] + k] = rel[k]
-                rows.append(row)
+            rows += [polarization(rel, e) for e in units]
         return AbelianPresentation.from_relation_rows(
-            rank, rows, invariants=self.invariants)
+            gamma_rank(n), rows, invariants=self.invariants)
 
 
 def quadratic_value(a: AbelianPresentation,

@@ -32,6 +32,7 @@ class FiniteGroup:
             raise GroupValidationError(
                 f"{len(labels)} labels for a group of order {self.order}")
         self.labels = tuple(str(l) for l in labels)
+        self._generators: Optional[Tuple[int, ...]] = None
         self._validate()
         self.inverse = tuple(self._find_inverse(a) for a in range(self.order))
 
@@ -110,17 +111,20 @@ class FiniteGroup:
         return [a for a in range(1, self.order) if self.table[a][a] == 0]
 
     def generating_set(self) -> List[int]:
-        """A small deterministic generating set (greedy closure)."""
-        gens: List[int] = []
-        closed = {0}
-        for a in range(1, self.order):
-            if a in closed:
-                continue
-            gens.append(a)
-            closed = self._closure(gens)
-            if len(closed) == self.order:
-                break
-        return gens
+        """A small deterministic generating set (greedy closure), found once
+        per group; each call returns a fresh list."""
+        if self._generators is None:
+            gens: List[int] = []
+            closed = {0}
+            for a in range(1, self.order):
+                if a in closed:
+                    continue
+                gens.append(a)
+                closed = self._closure(gens)
+                if len(closed) == self.order:
+                    break
+            self._generators = tuple(gens)
+        return list(self._generators)
 
     def _closure(self, gens: Sequence[int]) -> set:
         closed = {0}
@@ -211,27 +215,40 @@ def all_characters(group: FiniteGroup) -> List[OrientationChar]:
     return found
 
 
+# ``_SIGN_PRODUCT[a][b]`` is ``a * b`` for signs ``a`` and ``b``.
+_SIGN_PRODUCT = {1: {1: 1, -1: -1}, -1: {1: -1, -1: 1}}
+
+
 def _extend_character(group, gens, signs):
     """The character with ``w(g) = s`` on each generator ``g`` and its sign
-    ``s``, or ``None`` when there is none.
+    ``s``, or ``None`` when there is none (see :func:`_walk`)."""
+    return _walk(group, gens, signs, 1, _SIGN_PRODUCT)
 
-    The walk sets ``w(x·g) = w(x)·s`` along every edge ``(x, g)`` from the
-    identity and refuses a conflict.  In a finite group every element is a
-    product of generators, so the walk reaches them all, and at its end
-    ``w(x·g) = w(x)·w(g)`` holds for every ``x`` and generator ``g``
-    (``w(g) = w(1·g) = s``).  By induction on the length of ``b`` as a
-    product of generators, ``w(x·b) = w(x)·w(b)`` for every ``x`` and
-    ``b``: that is multiplicativity, so no further check is made.
+
+def _walk(group, gens, images, identity, product):
+    """The homomorphism ``f`` with ``f(g) = image`` on each generator ``g``
+    and its image, into a target with the given ``identity`` and product
+    table (``product[a][b]`` is ``a·b``), or ``None`` when there is none.
+
+    The walk sets ``f(1) = identity`` and ``f(x·g) = f(x)·image`` along
+    every edge ``(x, g)`` from the identity and refuses a conflict.  In a
+    finite group every element is a product of generators, so the walk
+    reaches them all, and at its end ``f(x·g) = f(x)·f(g)`` holds for every
+    ``x`` and generator ``g`` (``f(g) = f(1·g) = image``).  By induction on
+    the length of ``b`` as a product of generators, ``f(x·b) = f(x)·f(b)``
+    for every ``x`` and ``b``: that is multiplicativity, so no further
+    check is made.
     """
-    values = [0] * group.order
-    values[0] = 1
+    values = [None] * group.order
+    values[0] = identity
     frontier = [0]
     while frontier:
         x = frontier.pop()
-        for g, s in zip(gens, signs):
+        row = product[values[x]]
+        for g, img in zip(gens, images):
             y = group.table[x][g]
-            v = values[x] * s
-            if values[y] == 0:
+            v = row[img]
+            if values[y] is None:
                 values[y] = v
                 frontier.append(y)
             elif values[y] != v:
@@ -456,27 +473,11 @@ def automorphisms(group: FiniteGroup, cap: int = DEFAULT_AUT_CAP) -> List[Tuple[
 
 
 def _extend_automorphism(group, gens, images):
-    """The automorphism sending each generator to its image, or ``None``.
-
-    As in :func:`_extend_character`, a walk with no conflict gives
-    ``alpha(x·g) = alpha(x)·alpha(g)`` on every edge, and so ``alpha(x·b) =
-    alpha(x)·alpha(b)`` for every ``x`` and ``b``: ``alpha`` is a
-    homomorphism, and only bijectivity is left to check.
-    """
-    alpha = [-1] * group.order
-    alpha[0] = 0
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g, img in zip(gens, images):
-            y = group.table[x][g]
-            v = group.table[alpha[x]][img]
-            if alpha[y] == -1:
-                alpha[y] = v
-                frontier.append(y)
-            elif alpha[y] != v:
-                return None
-    return tuple(alpha) if len(set(alpha)) == group.order else None
+    """The automorphism sending each generator to its image, or ``None``:
+    :func:`_walk` into the group itself, so only bijectivity is left to
+    check."""
+    alpha = _walk(group, gens, images, 0, group.table)
+    return alpha if alpha and len(set(alpha)) == group.order else None
 
 
 def is_automorphism(group: FiniteGroup, alpha: Sequence[int]) -> bool:

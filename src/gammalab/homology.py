@@ -15,8 +15,9 @@ set ``T`` are read: ``d_{k+1} d_{k+2} (tau, x, h) = 0`` makes ``col(tau, x)
 same lattice.  Automorphisms act on that cokernel, read off the same
 columns: the unit pivots are eliminated sparsely, one Smith normal form
 presents the remainder, and each chain map is pushed through the
-eliminations.  No kernel basis is built; ``homology_with_basis``, the
-kernel-modulo-image route, stays as an independent oracle.
+eliminations.  Neither builds a kernel basis.  ``homology_with_basis``,
+the kernel-modulo-image route, stays as their independent oracle, and
+presents Tor₁ of twisted coinvariants for ``modules``.
 """
 
 from __future__ import annotations
@@ -38,17 +39,11 @@ from .resolutions import (DEFAULT_BUDGET, Resolution, chain_resolution_ranks,
 MAX_DEGREE = 4
 
 
-def quotient_of_kernel_by_image(d_out: IntMatrix, d_in: IntMatrix) -> AbelianPresentation:
-    """Present ``ker(d_out) / im(d_in)`` for a composable pair with
-    ``d_out . d_in = 0``."""
-    pres, _ = homology_with_basis(d_out, d_in)
-    return pres
-
-
 def homology_with_basis(d_out: IntMatrix,
                         d_in: IntMatrix) -> Tuple[AbelianPresentation, IntMatrix]:
-    """As :func:`quotient_of_kernel_by_image`, also returning the kernel
-    basis the presentation generators refer to (columns)."""
+    """Present ``ker(d_out) / im(d_in)`` for a composable pair with
+    ``d_out . d_in = 0``, with the kernel basis (columns) the presentation
+    generators refer to."""
     if d_out.cols != d_in.rows:
         raise IncompatibleInputError(
             f"maps of shapes {d_out.shape} and {d_in.shape} do not compose")

@@ -21,8 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .abelian import AbelianHom, AbelianPresentation
 from .errors import BudgetExceededError, IncompatibleInputError
 from .groups import FiniteGroup, OrientationChar, SubgroupData
-from .intmat import (IntMatrix, SNFSolver, elementary_divisors, kernel_basis,
-                     preimage_lattice)
+from .homology import homology_with_basis
+from .intmat import IntMatrix, SNFSolver, elementary_divisors, preimage_lattice
 from .resolutions import DEFAULT_BUDGET
 
 # ``table[g] = (images, signs)``: element ``g`` sends basis vector ``i`` to
@@ -427,54 +427,35 @@ def _lattice_size(n: int, columns: List[Dict[int, int]]) -> Tuple[int, int]:
 def _tor_one_over(module: ZPiModule, w: OrientationChar,
                   generators: Sequence[int]) -> AbelianPresentation:
     """:func:`tor_one` from the cover by the given underlying generators,
-    whose orbits with the relations must span the underlying group."""
+    whose orbits with the relations must span the underlying group.
+
+    The cover ``F`` maps onto the module with kernel lattice ``K``, which
+    each generator ``s`` of the group maps into itself by some ``alpha_s``.
+    Tor₁ is the homology at ``K`` of the three-term complex ``twists -> K
+    -> F_G``: the columns ``alpha_s - w(s)·I``, stacked over the generating
+    set, and the projection of ``K`` onto the coinvariants of ``F``.  The
+    projection kills ``(s - w(s))·F``, so the two compose to zero, and the
+    twists of a generating set span all of ``(g - w(g))·K``: the quotient
+    is the kernel of ``K_G -> F_G``.
+    """
     group = module.group
-    order = group.order
-    n = module.underlying.ngens
     cover = free_module(group, len(generators))
-    cover_cols = []
-    for i in generators:
-        for g in range(order):
-            cover_cols.append(module.action[g].column(i))
-    phi = IntMatrix.from_columns(cover_cols, rows=n)
-    target = module.underlying.relations.transpose()
-    kernel_cols = preimage_lattice(phi, target)
-    r = kernel_cols.cols
-    if r == 0:
-        return AbelianPresentation.free(0)
-    gens = group.generating_set()
-    twists = []
-    coinv_proj = twisted_coinvariants(cover, w).projection.matrix
-    comparison = coinv_proj.mul(kernel_cols)
-    basis = kernel_basis(comparison)
-    c = basis.cols
-    if c == 0:
-        return AbelianPresentation.free(0)
-    solver = SNFSolver(kernel_cols)
-    basis_solver = SNFSolver(basis)
-    rows = []
-    for s in gens:
-        shifted = cover.action[s].mul(kernel_cols)
-        alpha = solver.solve_matrix(shifted)
+    phi = IntMatrix.from_columns(
+        [module.action[g].column(i) for i in generators
+         for g in range(group.order)], rows=module.underlying.ngens)
+    kernel = preimage_lattice(phi, module.underlying.relations.transpose())
+    comparison = twisted_coinvariants(cover, w).projection.matrix.mul(kernel)
+    solver = SNFSolver(kernel)
+    identity = IntMatrix.identity(kernel.cols)
+    twists = IntMatrix(kernel.cols, 0)
+    for s in group.generating_set():
+        alpha = solver.solve_matrix(cover.action[s].mul(kernel))
         if alpha is None:
             raise IncompatibleInputError(
                 "kernel lattice is not preserved by the action; the module "
                 "data is inconsistent")
-        ws = w(s)
-        twist_cols = []
-        for j in range(r):
-            col = [alpha.data[i][j] - (ws if i == j else 0) for i in range(r)]
-            twist_cols.append(col)
-        twists.append(IntMatrix.from_columns(twist_cols, rows=r))
-    for mat in twists:
-        solved = basis_solver.solve_matrix(mat)
-        if solved is None:
-            raise IncompatibleInputError(
-                "twist relation left the comparison kernel; the module data "
-                "is inconsistent")
-        for j in range(solved.cols):
-            rows.append(solved.column(j))
-    return AbelianPresentation.from_relation_rows(c, rows)
+        twists = twists.hstack(alpha.sub(identity.scale(w(s))))
+    return homology_with_basis(comparison, twists)[0]
 
 
 def restrict_module(module: ZPiModule, sub: SubgroupData) -> ZPiModule:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .abelian import AbelianPresentation
 from .classify import HermitianForm
@@ -107,6 +107,34 @@ def _int_rows(value, origin: str, field: str,
                 f"{len(row)}; expected {width}")
         _int_row(row, origin, f"{field}[{index}]")
     return value
+
+
+def _ring_matrix(value, shape: Tuple[int, int], order: int, origin: str,
+                 name: str, outer: str,
+                 entry_field: Callable[[int, int], str]) -> List[List[tuple]]:
+    """A matrix over the group ring: ``shape[0]`` rows of ``shape[1]``
+    entries, each a coefficient vector of ``order`` integers.  ``outer`` is
+    the error for a value that is not a list of that many rows, ``name``
+    opens the row and entry errors, and ``entry_field(i, j)`` names the
+    field of entry ``(i, j)`` when it holds a value that is not an
+    integer."""
+    nrows, ncols = shape
+    if not isinstance(value, list) or len(value) != nrows:
+        raise ParseError(f"{origin}: {outer}")
+    matrix = []
+    for i, raw_row in enumerate(value):
+        if not isinstance(raw_row, list) or len(raw_row) != ncols:
+            raise ParseError(
+                f"{origin}: {name} row {i} must have {ncols} entries")
+        row = []
+        for j, raw_entry in enumerate(raw_row):
+            if not isinstance(raw_entry, list) or len(raw_entry) != order:
+                raise ParseError(
+                    f"{origin}: {name} entry ({i}, {j}) must be a "
+                    f"coefficient vector of length {order}")
+            row.append(tuple(_int_row(raw_entry, origin, entry_field(i, j))))
+        matrix.append(row)
+    return matrix
 
 
 def parse_group(doc: dict, origin: str = "<group>") \
@@ -207,24 +235,10 @@ def parse_form(doc: dict, group: FiniteGroup, w: OrientationChar,
     rank = _as_int(_require(doc, "rank", origin), origin, "rank")
     if rank < 0:
         raise ParseError(f"{origin}: rank must be nonnegative, got {rank}")
-    raw_matrix = _require(doc, "matrix", origin)
-    if not isinstance(raw_matrix, list) or len(raw_matrix) != rank:
-        raise ParseError(f"{origin}: field 'matrix' must be a list of "
-                         f"{rank} rows")
-    rows = []
-    for i, raw_row in enumerate(raw_matrix):
-        if not isinstance(raw_row, list) or len(raw_row) != rank:
-            raise ParseError(f"{origin}: matrix row {i} must have {rank} "
-                             "entries")
-        row = []
-        for j, raw_entry in enumerate(raw_row):
-            if (not isinstance(raw_entry, list)
-                    or len(raw_entry) != group.order):
-                raise ParseError(
-                    f"{origin}: matrix entry ({i}, {j}) must be a "
-                    f"coefficient vector of length {group.order}")
-            row.append(_int_row(raw_entry, origin, f"matrix[{i}][{j}]"))
-        rows.append(row)
+    rows = _ring_matrix(_require(doc, "matrix", origin), (rank, rank),
+                        group.order, origin, "matrix",
+                        f"field 'matrix' must be a list of {rank} rows",
+                        lambda i, j: f"matrix[{i}][{j}]")
     return HermitianForm.from_coefficients(group, w, rows)
 
 
@@ -255,27 +269,10 @@ def parse_resolution(doc: dict, group: FiniteGroup,
             "every supported homology degree is computable")
     differentials = []
     for k, raw_matrix in enumerate(raw_bounds, start=1):
-        rows_expected, cols_expected = ranks[k - 1], ranks[k]
-        if not isinstance(raw_matrix, list) or len(raw_matrix) != rows_expected:
-            raise ParseError(
-                f"{origin}: boundary {k} must have {rows_expected} rows")
-        matrix = []
-        for i, raw_row in enumerate(raw_matrix):
-            if not isinstance(raw_row, list) or len(raw_row) != cols_expected:
-                raise ParseError(
-                    f"{origin}: boundary {k} row {i} must have "
-                    f"{cols_expected} entries")
-            row = []
-            for j, raw_entry in enumerate(raw_row):
-                if (not isinstance(raw_entry, list)
-                        or len(raw_entry) != group.order):
-                    raise ParseError(
-                        f"{origin}: boundary {k} entry ({i}, {j}) must be a "
-                        f"coefficient vector of length {group.order}")
-                row.append(tuple(_int_row(raw_entry, origin,
-                                          f"boundary {k}")))
-            matrix.append(row)
-        differentials.append(matrix)
+        name = f"boundary {k}"
+        differentials.append(_ring_matrix(
+            raw_matrix, (ranks[k - 1], ranks[k]), group.order, origin, name,
+            f"{name} must have {ranks[k - 1]} rows", lambda i, j: name))
     resolution = Resolution(group, ranks, differentials)
     try:
         resolution.validate(check_exactness=True)

@@ -21,7 +21,7 @@ path it replaced, which stays in the package as the oracle:
   character), two direct products, and every generating pair of the
   non-abelian groups, with a set inside a proper subgroup as the negative
   control;
-* ``group_homology`` against ``quotient_of_kernel_by_image`` (kernel basis
+* ``group_homology`` against ``homology_with_basis`` (kernel basis
   and solves) on every bundled (group, character, degree) within
   :data:`BUDGET`, with every provider that applies.  The oracle reads both
   ``d_k`` and ``d_{k+1}``, so it also checks that ``H_k`` has no free part
@@ -46,8 +46,7 @@ from gammalab.errors import BudgetExceededError, IncompatibleInputError
 from gammalab.gamma import quadratic_value
 from gammalab.groups import OrientationChar, all_characters
 from gammalab.homology import (MAX_DEGREE, _reduce, group_homology,
-                               induced_homology_maps,
-                               quotient_of_kernel_by_image)
+                               homology_with_basis, induced_homology_maps)
 from gammalab.intmat import (IntMatrix, SNFSolver,
                              dense_elementary_divisors, elementary_divisors,
                              eliminate_units, from_sparse_columns,
@@ -399,7 +398,7 @@ def test_irredundant_generators():
 
 def generic_homology(res, w, k):
     d_out = res.twisted_matrix(k, w) if k else IntMatrix(0, res.ranks[0])
-    return quotient_of_kernel_by_image(d_out, res.twisted_matrix(k + 1, w))
+    return homology_with_basis(d_out, res.twisted_matrix(k + 1, w))[0]
 
 
 def test_group_homology_matches_kernel_modulo_image():

@@ -349,6 +349,24 @@ def test_tor_hand_values():
     assert tor_one(sign_module(z2, w), wt).invariant_factors() == (0, ())
 
 
+def test_tor_refuses_unchecked_data_that_is_not_a_module():
+    """Built with ``check=False``, an action that does not preserve the
+    kernel of the cover is refused with an input error.  The first case
+    has a trivial comparison kernel, so a route that skips the invariance
+    solve when there is nothing to present would answer 0."""
+    z2 = cyclic_group(2)
+    w = OrientationChar.trivial(z2)
+    underlying = AbelianPresentation.from_relation_rows(2, [[2, 0]])
+    for action in ([[0, 1], [1, 1]], [[2, 0], [0, 1]]):
+        module = module_from_action(
+            z2, underlying,
+            [IntMatrix.identity(2), IntMatrix.from_rows(action)],
+            check=False)
+        with pytest.raises(IncompatibleInputError,
+                           match="kernel lattice is not preserved"):
+            tor_one(module, w)
+
+
 def test_tor_budget_is_the_cover_estimate():
     """The estimate is |G| n (|G| n + relation rows): accepted at the cost,
     refused one below it, before any work, with the sizes in the message."""

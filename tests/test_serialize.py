@@ -259,6 +259,22 @@ def test_form_shape_errors():
                    origin="probe")
 
 
+def test_form_entry_errors_are_exact():
+    """A short coefficient vector and a coefficient that is not an integer
+    are refused with these messages, whole."""
+    z2 = cyclic_group(2)
+    w = OrientationChar.trivial(z2)
+    with pytest.raises(ParseError) as info:
+        parse_form({"rank": 1, "matrix": [[[1]]]}, z2, w, origin="probe")
+    assert str(info.value) == ("probe: matrix entry (0, 0) must be a "
+                               "coefficient vector of length 2")
+    matrix = [[[1, 0], [0, 0]], [[0, 0], [1, "x"]]]
+    with pytest.raises(ParseError) as info:
+        parse_form({"rank": 2, "matrix": matrix}, z2, w, origin="probe")
+    assert str(info.value) == ("probe: field 'matrix[1][1]' must be an "
+                               "integer, got 'x'")
+
+
 def test_form_round_trip():
     z2 = cyclic_group(2)
     w = OrientationChar.trivial(z2)

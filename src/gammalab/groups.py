@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, GroupValidationError, IncompatibleInputError
 
@@ -33,6 +33,7 @@ class FiniteGroup:
                 f"{len(labels)} labels for a group of order {self.order}")
         self.labels = tuple(str(l) for l in labels)
         self._generators: Optional[Tuple[int, ...]] = None
+        self._bar_generators: Optional[Tuple[int, ...]] = None
         self._validate()
         self.inverse = tuple(self._find_inverse(a) for a in range(self.order))
 
@@ -114,17 +115,39 @@ class FiniteGroup:
         """A small deterministic generating set (greedy closure), found once
         per group; each call returns a fresh list."""
         if self._generators is None:
-            gens: List[int] = []
-            closed = {0}
-            for a in range(1, self.order):
-                if a in closed:
-                    continue
+            self._generators = tuple(self._greedy_generators(
+                range(1, self.order)))
+        return list(self._generators)
+
+    def bar_generators(self) -> List[int]:
+        """An irredundant generating set ``T``, ascending, found once per
+        group; each call returns a fresh list.  The greedy closure takes
+        the involutions first, then the other elements, and each member
+        the others generate is dropped.  Bar homology reads the columns
+        ending in ``T``, and an involution in ``T`` halves its share of
+        them (see :func:`~gammalab.resolutions.twisted_chain_columns`)."""
+        if self._bar_generators is None:
+            gens = self._greedy_generators(self.involutions() + [
+                a for a in range(1, self.order) if self.table[a][a]])
+            for g in list(gens):
+                rest = [h for h in gens if h != g]
+                if len(self._closure(rest)) == self.order:
+                    gens = rest
+            self._bar_generators = tuple(sorted(gens))
+        return list(self._bar_generators)
+
+    def _greedy_generators(self, candidates: Iterable[int]) -> List[int]:
+        """Each candidate outside the closure of those taken before it,
+        until they generate the group."""
+        gens: List[int] = []
+        closed = {0}
+        for a in candidates:
+            if len(closed) == self.order:
+                break
+            if a not in closed:
                 gens.append(a)
                 closed = self._closure(gens)
-                if len(closed) == self.order:
-                    break
-            self._generators = tuple(gens)
-        return list(self._generators)
+        return gens
 
     def _closure(self, gens: Sequence[int]) -> set:
         closed = {0}

@@ -8,11 +8,15 @@ so the torsion of ``H_k`` is the torsion of the cokernel of ``d_{k+1}``, and
 ``|G|`` kills ``H_k`` of a finite group once ``k >= 1`` (K. S. Brown,
 *Cohomology of Groups*, Cor. III.10.2), so there ``H_k`` is all torsion;
 ``H_0`` is the cokernel of ``d_1`` itself.  On the bar resolution only
-the ``|T|·(n-1)^k`` columns of ``d_{k+1}`` whose tuple ends in a generating
-set ``T`` are read: ``d_{k+1} d_{k+2} (tau, x, h) = 0`` makes ``col(tau, x)
-= ±col(tau, x·h)`` modulo columns ending in ``h``, and a walk ``x -> x·h_1
--> ... -> 1`` through ``T`` ends at ``col(tau, 1) = 0``, so they span the
-same lattice.  Automorphisms act on that cokernel, read off the same
+columns of ``d_{k+1}`` whose tuple ends in ``T = group.bar_generators()``
+are read, at most ``|T|·(n-1)^k`` of them: ``d_{k+1} d_{k+2} (tau, x, h) =
+0`` makes ``col(tau, x) = ±col(tau, x·h)`` modulo columns ending in ``h``,
+and a walk ``x -> x·h_1 -> ... -> 1`` through ``T`` ends at ``col(tau, 1)
+= 0``, so they span the same lattice.  An involution ``t`` in ``T`` adds
+only ``(n-1)^{k-1}·n/2`` of its ``(n-1)^k`` for ``k >= 1``: of ``(..., y,
+t)`` and ``(..., y·t, t)`` one is the other modulo kept columns (see
+:func:`~gammalab.resolutions.twisted_chain_columns`), and ``T`` takes the
+involutions first.  Automorphisms act on that cokernel, read off the same
 columns: the unit pivots are eliminated sparsely, one Smith normal form
 presents the remainder, and each chain map is pushed through the
 eliminations.  Neither builds a kernel basis.  ``homology_with_basis``,
@@ -85,16 +89,6 @@ def _check_degree(k: int) -> None:
 SparseDifferential = Tuple[int, List[Dict[int, int]]]
 
 
-def _irredundant_generators(group: FiniteGroup) -> List[int]:
-    """``group.generating_set()`` less each member the others generate."""
-    gens = group.generating_set()
-    for g in list(gens):
-        rest = [h for h in gens if h != g]
-        if len(group._closure(rest)) == group.order:
-            gens = rest
-    return gens
-
-
 def _twisted_differential(group: FiniteGroup, w: OrientationChar, k: int,
                           provider: str, budget: Optional[int],
                           resolution: Optional[Resolution]
@@ -104,8 +98,10 @@ def _twisted_differential(group: FiniteGroup, w: OrientationChar, k: int,
 
     Without a stored resolution the bar provider builds it straight from
     tuples, after the budget check the full chain resolution of length
-    ``k + 1`` would make, and only the columns ending in a generator, for
-    homology and orbits alike; the cyclic provider's periodic resolution
+    ``k + 1`` would make, and only the columns ending in
+    ``group.bar_generators()`` that
+    :func:`~gammalab.resolutions.twisted_chain_columns` keeps, for homology
+    and orbits alike; the cyclic provider's periodic resolution
     and stored resolutions are collapsed through the character, and a
     stored one is checked to compose to zero with ``d_k``."""
     _check_degree(k)
@@ -116,7 +112,7 @@ def _twisted_differential(group: FiniteGroup, w: OrientationChar, k: int,
         ranks = chain_resolution_ranks(group.order, k + 1)
         check_budget(group.order, ranks, budget)
         return ranks[k], twisted_chain_columns(
-            group, w, k + 1, _irredundant_generators(group))
+            group, w, k + 1, group.bar_generators())
     stored = resolution is not None
     if not stored:
         resolution = periodic_resolution(group, k + 1)

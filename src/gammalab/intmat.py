@@ -593,11 +593,12 @@ def _diagonalize(a: List[List[int]]) -> List[int]:
     (a list of equal-length rows, used up), reached by unimodular row and
     column operations that are not logged.
 
-    While some row holds a ``1`` or ``-1``, the first such row gives the
-    pivot, and one pass of row steps clears its column with no remainder.
-    The pivot row then leaves the matrix, and so does each row the steps
-    make zero: the column steps would only clear the pivot row, and a zero
-    row adds nothing.  So a mostly-zero matrix shrinks as it goes.
+    While some row holds a ``1`` or ``-1``, the first such row with the
+    fewest nonzero entries gives the pivot, which keeps fill-in low, and
+    one pass of row steps clears its column with no remainder.  The pivot
+    row then leaves the matrix, and so does each row the steps make zero:
+    the column steps would only clear the pivot row, and a zero row adds
+    nothing.  So a mostly-zero matrix shrinks as it goes.
 
     What is left holds no unit.  Each of its pivots starts as a nonzero
     entry of smallest absolute value.  Row division steps clear its column;
@@ -611,12 +612,15 @@ def _diagonalize(a: List[List[int]]) -> List[int]:
     diagonal: List[int] = []
     a = [row for row in a if any(row)]
     while True:
-        for i, top in enumerate(a):
+        i, fewest = -1, 0
+        for r, top in enumerate(a):
             if 1 in top or -1 in top:
-                break
-        else:
+                size = len(top) - top.count(0)
+                if i < 0 or size < fewest:
+                    i, fewest = r, size
+        if i < 0:
             break
-        del a[i]
+        top = a.pop(i)
         j = top.index(1) if 1 in top else top.index(-1)
         pivot = top[j]
         across = [(k, top[k]) for k in compress(range(len(top)), top)]

@@ -199,16 +199,36 @@ def twisted_chain_columns(group: FiniteGroup, w: OrientationChar, k: int,
     as ``{row: value}`` maps, built straight from the tuples: no ring
     matrix and no budget check; indices in mixed radix ``order - 1``.
 
-    With ``last``, only the columns ``head + (h,)`` with ``h`` in ``last``.
-    If ``last`` generates the group they span the same lattice: ``d d
-    (head, x, h) = 0`` makes ``col(head, x) = ±col(head, x·h)`` modulo
-    columns ending in ``h``, and a walk ``x -> x·h_1 -> ... -> 1`` through
-    ``last`` ends at ``col(head, 1) = 0``."""
+    With ``last``, only the columns ``head + (h,)`` with ``h`` in ``last``,
+    and of those ending ``(y, t)`` with ``t`` an involution (``t·t = 1``)
+    and ``y != t``, only the ones with ``y < y·t``.  If ``last`` generates
+    the group they span the same lattice as all columns.
+
+    * Generators: ``d d (head, x, h) = 0`` makes ``col(head, x) =
+      ±col(head, x·h)`` modulo columns ending in ``h``, and a walk ``x ->
+      x·h_1 -> ... -> 1`` through ``last`` ends at ``col(head, 1) = 0``.
+    * Involutions: take ``e = (a_1, ..., a_{k-1}, y, t, t)`` with ``y``
+      not in ``{1, t}``.  In ``d e`` the merge ``t·t = 1`` dies; dropping
+      ``a_1`` and every merge before ``y·t`` leave tuples ending ``(t,
+      t)``; the merge ``y·t`` gives the partner ``(..., y·t, t)``; and
+      dropping the last entry gives ``(..., y, t)`` with coefficient ``±1``,
+      as no twist reaches it.  So ``d d e = 0`` makes ``col(..., y, t) =
+      ±col(..., y·t, t) ± w(a_1) col(..., t, t) ± ...``.  Of the pair
+      ``{y, y·t}`` the smaller is kept, and so is every column ending
+      ``(t, t)``: each dropped column is an integer combination of kept
+      ones, and nothing is circular.  For ``k = 1`` there is no ``y`` and
+      nothing is dropped."""
     base, table = group.order - 1, group.table
     power = [base ** p for p in range(k + 1)]
+    ends = range(1, group.order) if last is None else last
+    # The ends kept after each second-to-last entry y; y = 0 for k = 1,
+    # where 0 < h keeps them all.
+    after = [list(ends) if last is None else
+             [h for h in ends if table[h][h] or y == h or y < table[y][h]]
+             for y in range(group.order)]
     columns = []
     for head_index, head in enumerate(chain_tuples(group, k - 1)):
-        for h in range(1, group.order) if last is None else last:
+        for h in after[head[-1] if head else 0]:
             # The terms of _bar_terms on the digits of the column index:
             # drop the first, merge digits i and i + 1, drop the last.
             tup, index = head + (h,), head_index * base + h - 1

@@ -16,11 +16,13 @@ path it replaced, which stays in the package as the oracle:
   its remainder against the cokernel of the whole matrix;
 * the sparse twisted bar columns against
   ``chain_resolution(...).twisted_matrix(k, w)``;
-* the columns of the bar ``d_{k+1}`` whose tuple ends in a generating set
-  against all of them: the same lattice, on every bundled (group,
-  character), two direct products, and every generating pair of the
-  non-abelian groups, with a set inside a proper subgroup as the negative
-  control;
+* the columns of the bar ``d_{k+1}`` whose tuple ends in a generating set,
+  less one of each pair ``(..., y, t)``, ``(..., y·t, t)`` at an
+  involution ``t``, against all of them: the same lattice, on every
+  bundled (group, character), two direct products, the dihedral groups of
+  order 10 and 12, and every generating pair of the non-abelian groups,
+  with a set inside a proper subgroup as the negative control; groups
+  generated by involutions take their generators among them;
 * ``group_homology`` against ``homology_with_basis`` (kernel basis
   and solves) on every bundled (group, character, degree) within
   :data:`BUDGET`, with every provider that applies.  The oracle reads both
@@ -28,7 +30,7 @@ path it replaced, which stays in the package as the oracle:
   for ``k >= 1``, which ``group_homology`` takes as given.
 
 The last tests pin that ``group_homology`` builds ``d_{k+1}`` alone, once,
-and on the bar route only ``|T|·(n-1)^k`` of its columns, the same columns
+and on the bar route only the columns the lemma keeps, the same columns
 ``induced_homology_maps`` reads.
 """
 
@@ -44,7 +46,7 @@ from gammalab.builtins import (cyclic_group, direct_product,
                                klein_four_group, standard_library)
 from gammalab.errors import BudgetExceededError, IncompatibleInputError
 from gammalab.gamma import quadratic_value
-from gammalab.groups import OrientationChar, all_characters
+from gammalab.groups import FiniteGroup, OrientationChar, all_characters
 from gammalab.homology import (MAX_DEGREE, _reduce, group_homology,
                                homology_with_basis, induced_homology_maps)
 from gammalab.intmat import (IntMatrix, SNFSolver,
@@ -307,19 +309,41 @@ def lemma_degrees(group):
             if (group.order - 1) ** (k + 1) <= MAX_LEMMA_COLUMNS]
 
 
+def kept_end(group, last, tup):
+    """The stated rule: ``tup`` ends in ``last``, and if it ends ``(y, t)``
+    with ``t`` an involution and ``y != t``, then ``y < y·t``."""
+    t = tup[-1]
+    if t not in last:
+        return False
+    if len(tup) < 2 or group.table[t][t] or tup[-2] == t:
+        return True
+    return tup[-2] < group.table[tup[-2]][t]
+
+
 def assert_same_lattice(group, w, k, last, full, expected):
-    """The columns of ``d_{k+1}`` ending in ``last`` are those columns of
-    the full set, whose nonzero elementary divisors are ``expected``, and
-    span the same lattice: a sublattice with the same nonzero elementary
-    divisors is the whole lattice.  Returns those columns."""
+    """The columns of ``d_{k+1}`` that :func:`kept_end` keeps for ``last``
+    are those columns of the full set, whose nonzero elementary divisors
+    are ``expected``, and span the same lattice: a sublattice with the
+    same nonzero elementary divisors is the whole lattice.  Returns those
+    columns."""
     nrows = (group.order - 1) ** k
     part = twisted_chain_columns(group, w, k + 1, last)
-    ends = [tup[-1] for tup in chain_tuples(group, k + 1)]
+    tuples = chain_tuples(group, k + 1)
     # Both list head by head; ``last`` is ascending, as the full set is.
-    assert part == [col for col, h in zip(full, ends) if h in last], \
-        (w.values, k, last)
+    assert part == [col for col, tup in zip(full, tuples)
+                    if kept_end(group, last, tup)], (w.values, k, last)
     assert nonzero_divisors(nrows, part) == expected, (w.values, k, last)
     return part
+
+
+def dihedral_group(m):
+    """The dihedral group of order ``2m``: ``r^i`` is element ``i`` and the
+    reflection ``s r^i`` is element ``m + i``."""
+    def index(flip, i):
+        return flip * m + i % m
+    table = [[index(a // m ^ b // m, (-1) ** (b // m) * (a % m) + b % m)
+              for b in range(2 * m)] for a in range(2 * m)]
+    return FiniteGroup(table)
 
 
 def lemma_groups():
@@ -328,12 +352,14 @@ def lemma_groups():
     klein4, z2 = klein_four_group(), cyclic_group(2)
     yield "z2 x klein4", direct_product(z2, klein4)
     yield "s3 x z2", direct_product(standard_library()["s3"], z2)
+    yield "dihedral 10", dihedral_group(5)
+    yield "dihedral 12", dihedral_group(6)
 
 
 def test_columns_ending_in_the_bar_generators_span_every_column():
     count = 0
     for name, group in lemma_groups():
-        last = homology._irredundant_generators(group)
+        last = group.bar_generators()
         assert generates(group, last), name
         for w in all_characters(group):
             for k in lemma_degrees(group):
@@ -382,15 +408,24 @@ def test_columns_ending_in_a_proper_subgroup_can_span_less():
 def test_irredundant_generators():
     library = standard_library()
     expected = {"trivial": [], "z2": [1], "z3": [1], "z4": [1], "z6": [1],
-                "klein4": [1, 2], "s3": [1, 3], "d4": [1, 4],
+                "klein4": [1, 2], "s3": [3, 4], "d4": [4, 5],
                 "q8": [2, 4]}
     for name, group in library.items():
-        gens = homology._irredundant_generators(group)
+        gens = group.bar_generators()
         assert gens == expected[name], name
         for g in gens:
             assert not generates(group, [h for h in gens if h != g]), name
     # The generating set keeps -1 of q8, which i and j already generate.
     assert library["q8"].generating_set() == [1, 2, 4]
+
+
+def test_groups_generated_by_involutions_take_involutions_as_generators():
+    names = ("klein4", "s3", "d4", "s3 x z2", "dihedral 10", "dihedral 12")
+    groups = dict(lemma_groups())
+    for name in names:
+        group = groups[name]
+        gens = group.bar_generators()
+        assert gens and set(gens) <= set(group.involutions()), (name, gens)
 
 
 # -- group homology ---------------------------------------------------------
@@ -473,10 +508,16 @@ def test_bar_route_builds_only_the_outgoing_differential(monkeypatch):
             assert asked == [k + 1], (w.values, k)
 
 
+def bar_column_count(group, k):
+    """Columns of ``d_{k+1}`` read: ``(n-1)^k`` per generator, and
+    ``(n-1)^{k-1}·n/2`` per involution among them once ``k >= 1``."""
+    n = group.order
+    return sum((n - 1) ** (k - 1) * n // 2 if k and group.table[t][t] == 0
+               else (n - 1) ** k for t in group.bar_generators())
+
+
 def test_bar_route_builds_only_the_columns_ending_in_generators(monkeypatch):
-    # |T| for the irredundant generating set T of each bundled group.
-    generators = {"trivial": 0, "z2": 1, "z3": 1, "z4": 1, "z6": 1,
-                  "klein4": 2, "s3": 2, "d4": 2, "q8": 2}
+    # T itself is pinned by test_irredundant_generators.
     built = []
     build = homology.twisted_chain_columns
 
@@ -491,15 +532,14 @@ def test_bar_route_builds_only_the_columns_ending_in_generators(monkeypatch):
         for k in range(top_length(group.order)):
             built.clear()
             group_homology(group, w, k, provider="bar", budget=BUDGET)
-            assert built == [generators[name] * (group.order - 1) ** k], \
-                (name, k)
-    for name in ("d4", "q8"):
+            assert built == [bar_column_count(group, k)], (name, k)
+    for name, count in (("d4", 56), ("q8", 98)):
         group = standard_library()[name]
         w = OrientationChar.trivial(group)
         for reader in (group_homology, induced_homology_maps):
             built.clear()
             reader(group, w, 2, provider="bar", budget=BUDGET)
-            assert built == [98], (name, reader.__name__)
+            assert built == [count], (name, reader.__name__)
 
 
 def test_stored_resolution_twists_each_differential_once(monkeypatch):

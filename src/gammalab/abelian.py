@@ -5,14 +5,13 @@ are relations.  Elements are integer column vectors of generator
 coefficients; homomorphisms act on such column vectors.  Two presentations
 compare equal iff they present isomorphic groups (same invariant factors).
 
-The canonical-coordinate machinery diagonalizes the relation matrix once
-(``U R V = D``) and then answers membership, equality, primitivity and
-torsion questions by a single change of basis ``y = V^T x``:
-
-* coordinate ``i`` with diagonal ``d_i >= 2`` is a ``Z/d_i`` coordinate,
-* coordinate ``i`` with ``d_i = 0`` (or beyond the diagonal) is a free
-  ``Z`` coordinate,
-* coordinates with ``d_i = 1`` are dead.
+Canonical coordinates, which answer membership, equality, primitivity and
+torsion questions, come from one :class:`~gammalab.intmat.Cokernel` of the
+relation rows: ``Z`` coordinates, then one ``Z/d_i`` coordinate per
+invariant factor.  It eliminates the unit pivots sparsely and runs a Smith
+normal form on the unit-free remainder only; ``from_diagonal`` fills the
+coordinates with neither step.  The invariant factors alone take the dense
+unlogged diagonalization of the rows.
 """
 
 from __future__ import annotations
@@ -22,9 +21,8 @@ import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import IncompatibleInputError
-from .intmat import (IntMatrix, bezout_combination,
-                     dense_elementary_divisors, divisor_chain,
-                     smith_normal_form)
+from .intmat import (Cokernel, IntMatrix, bezout_combination,
+                     dense_elementary_divisors, divisor_chain)
 
 
 def format_invariants(rank: int, factors: Sequence[int]) -> str:
@@ -106,12 +104,8 @@ class AbelianPresentation:
         rows = [[d if j == i else 0 for j in range(n)]
                 for i, d in enumerate(orders) if d]
         presentation = cls.from_relation_rows(n, rows)
-        free_idx = [i for i, d in enumerate(orders) if not d]
-        torsion_idx = [i for i, d in enumerate(orders) if d]
-        identity = IntMatrix.identity(n)
-        presentation._canonical = (identity, identity, free_idx, torsion_idx,
-                                   torsion)
-        presentation._invariants = (len(free_idx), tuple(torsion))
+        presentation._canonical = Cokernel.diagonal(orders)
+        presentation._invariants = (n - len(torsion), tuple(torsion))
         return presentation
 
     # -- invariants ---------------------------------------------------
@@ -174,55 +168,34 @@ class AbelianPresentation:
 
     # -- canonical coordinates ---------------------------------------
 
-    def _canon(self):
+    def _canon(self) -> Cokernel:
+        """The relation rows' :class:`~gammalab.intmat.Cokernel`, built on
+        first use, whose invariants replace any the caller supplied."""
         if self._canonical is None:
-            snf = smith_normal_form(self.relations)
-            diag = snf.diagonal
-            free_idx, torsion_idx, torsion_mod = [], [], []
-            for i in range(self.ngens):
-                d = diag[i] if i < len(diag) else 0
-                if d == 0:
-                    free_idx.append(i)
-                elif d >= 2:
-                    torsion_idx.append(i)
-                    torsion_mod.append(d)
-            self._canonical = (snf.v, snf.vinv, free_idx, torsion_idx, torsion_mod)
-            self._invariants = (len(free_idx), tuple(torsion_mod))
+            self._canonical = Cokernel(self.ngens, [
+                {j: value for j, value in enumerate(row) if value}
+                for row in self.relations.data])
+            self._invariants = (self._canonical.rank, self._canonical.torsion)
         return self._canonical
 
     def to_canonical(self, x: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Express an element in canonical coordinates ``(free, torsion)``."""
-        v, _, free_idx, torsion_idx, torsion_mod = self._canon()
         if len(x) != self.ngens:
             raise ValueError(f"element length {len(x)} does not match {self.ngens} generators")
-        y = v.vec_mat(list(x))  # y = V^T x
-        free = tuple(y[i] for i in free_idx)
-        torsion = tuple(y[i] % d for i, d in zip(torsion_idx, torsion_mod))
-        return free, torsion
+        return self._canon().coordinates(dict(enumerate(x)))
 
     def from_canonical(self, free: Sequence[int], torsion: Sequence[int]) -> List[int]:
-        _, vinv, free_idx, torsion_idx, _ = self._canon()
-        y = [0] * self.ngens
-        for i, value in zip(free_idx, free):
-            y[i] = value
-        for i, value in zip(torsion_idx, torsion):
-            y[i] = value
-        # x = (V^T)^-1 y = (V^-1)^T y
-        return vinv.vec_mat(y)
+        """An element with the canonical coordinates ``(free, torsion)``;
+        ``ValueError`` unless there is one of each."""
+        return self._canon().lift(free, torsion)
 
     def element_is_zero(self, x: Sequence[int]) -> bool:
-        return self.contains_in_relation_lattice(x)
+        """Whether ``x`` lies in the subgroup spanned by the relation rows."""
+        free, torsion = self.to_canonical(x)
+        return not any(free) and not any(torsion)
 
     def elements_equal(self, x: Sequence[int], y: Sequence[int]) -> bool:
         return self.element_is_zero([a - b for a, b in zip(x, y)])
-
-    def contains_in_relation_lattice(self, x: Sequence[int]) -> bool:
-        """Whether ``x`` lies in the subgroup spanned by the relation rows."""
-        v, _, free_idx, torsion_idx, torsion_mod = self._canon()
-        y = v.vec_mat(list(x))
-        if any(y[i] != 0 for i in free_idx):
-            return False
-        return all(y[i] % d == 0 for i, d in zip(torsion_idx, torsion_mod))
 
     # -- torsion ------------------------------------------------------
 
@@ -233,20 +206,17 @@ class AbelianPresentation:
         into ``self`` sending the ``j``-th torsion generator to the element
         of ``self`` whose canonical coordinates are ``e_j``.
         """
-        _, vinv, _, torsion_idx, torsion_mod = self._canon()
-        sub = AbelianPresentation.from_factors(0, torsion_mod)
-        columns = []
-        for i in torsion_idx:
-            unit = [0] * self.ngens
-            unit[i] = 1
-            columns.append(vinv.vec_mat(unit))
-        matrix = IntMatrix.from_columns(columns, rows=self.ngens)
+        coker = self._canon()
+        sub = AbelianPresentation.from_factors(0, coker.torsion)
+        zeros = [0] * coker.rank
+        units = IntMatrix.identity(len(coker.torsion)).data
+        matrix = IntMatrix.from_columns([coker.lift(zeros, unit)
+                                         for unit in units], rows=self.ngens)
         return sub, AbelianHom(sub, self, matrix)
 
     def enumerate_torsion(self) -> Iterator[Tuple[int, ...]]:
         """All canonical torsion coordinate tuples (free part held at zero)."""
-        _, _, _, _, torsion_mod = self._canon()
-        return itertools.product(*[range(d) for d in torsion_mod])
+        return itertools.product(*[range(d) for d in self._canon().torsion])
 
     # -- primitivity and functionals ---------------------------------
 
@@ -263,19 +233,11 @@ class AbelianPresentation:
         kills every relation, so it defines an honest functional on the
         presented group.
         """
-        v, _, free_idx, _, _ = self._canon()
         free, _ = self.to_canonical(x)
         g, coeffs = bezout_combination(list(free))
         if g != 1:
             return None
-        row = [0] * self.ngens
-        for c, i in zip(coeffs, free_idx):
-            if c == 0:
-                continue
-            # row += c * (i-th row of V^T) = c * (i-th column of V)
-            for k in range(self.ngens):
-                row[k] += c * v.data[k][i]
-        return row
+        return self._canon().functional(coeffs)
 
     # -- combination --------------------------------------------------
 
@@ -309,7 +271,7 @@ class AbelianHom:
             for i in range(source.relations.rows):
                 relation = source.relations.row(i)
                 image = matrix.mat_vec(relation)
-                if not target.contains_in_relation_lattice(image):
+                if not target.element_is_zero(image):
                     raise IncompatibleInputError(
                         f"hom is not well defined: image of relation {i} "
                         f"is nonzero in the target")

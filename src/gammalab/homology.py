@@ -17,9 +17,8 @@ only ``(n-1)^{k-1}·n/2`` of its ``(n-1)^k`` for ``k >= 1``: of ``(..., y,
 t)`` and ``(..., y·t, t)`` one is the other modulo kept columns (see
 :func:`~gammalab.resolutions.twisted_chain_columns`), and ``T`` takes the
 involutions first.  Automorphisms act on that cokernel, read off the same
-columns: the unit pivots are eliminated sparsely, one Smith normal form
-presents the remainder, and each chain map is pushed through the
-eliminations.  Neither builds a kernel basis.  ``homology_with_basis``,
+columns in the canonical coordinates of :class:`~gammalab.intmat.Cokernel`.
+Neither builds a kernel basis.  ``homology_with_basis``,
 the kernel-modulo-image route, stays as their independent oracle, and
 presents Tor₁ of twisted coinvariants for ``modules``.
 """
@@ -34,8 +33,8 @@ from .errors import (BudgetExceededError, IncompatibleInputError,
                      UnsupportedInputError)
 from .groups import (FiniteGroup, OrientationChar, automorphisms_preserving,
                      is_automorphism, DEFAULT_AUT_CAP)
-from .intmat import (Elimination, IntMatrix, SNFSolver, elementary_divisors,
-                     eliminate_units, kernel_basis, sparse_columns)
+from .intmat import (Cokernel, IntMatrix, SNFSolver, elementary_divisors,
+                     kernel_basis, sparse_columns)
 from .resolutions import (DEFAULT_BUDGET, Resolution, chain_resolution_ranks,
                           check_budget, periodic_generator,
                           periodic_resolution, twisted_chain_columns)
@@ -194,22 +193,6 @@ def _check_descends(group: FiniteGroup, w: OrientationChar,
             "does not descend to homology")
 
 
-def _reduce(eliminations: Sequence[Elimination],
-            vector: Dict[int, int]) -> Dict[int, int]:
-    """Replay the unit eliminations on a chain, in the order they were
-    made: each pivot row's coefficient is traded for the rest of its pivot
-    column, which does not change the class in the cokernel of
-    ``d_{k+1}``.  The result lives on the surviving rows."""
-    for row, sign, column in eliminations:
-        a = vector.pop(row, 0)
-        if a:
-            a *= sign
-            for r, value in column.items():
-                if r != row:
-                    vector[r] = vector.get(r, 0) - a * value
-    return vector
-
-
 def induced_homology_maps(group: FiniteGroup, w: OrientationChar, k: int,
                           provider: str = "auto",
                           budget: Optional[int] = DEFAULT_BUDGET,
@@ -220,46 +203,36 @@ def induced_homology_maps(group: FiniteGroup, w: OrientationChar, k: int,
 
     For ``k >= 1``, ``H_k`` is the torsion of the cokernel of ``d_{k+1}``
     (see the module docstring), presented by its torsion invariants on
-    canonical coordinates; ``H_0`` is the cokernel of ``d_1`` itself.  The
-    cokernel comes from :func:`~gammalab.intmat.eliminate_units` and one
-    Smith normal form of the remainder, read once for both the torsion and
-    its lifts, on the columns :func:`group_homology` reads; each chain map
-    (a relabeling of tuples, or a scalar on the periodic resolution) is
-    pushed through the eliminations.
+    canonical coordinates; ``H_0`` is the cokernel of ``d_1`` itself.  One
+    :class:`~gammalab.intmat.Cokernel` of the columns :func:`group_homology`
+    reads gives the invariants, a lift of each coordinate, and the
+    coordinates of its image under each chain map (a relabeling of tuples,
+    or a scalar on the periodic resolution).
     """
-    d_in = _twisted_differential(group, w, k, provider, budget, None)
+    coker = Cokernel(*_twisted_differential(group, w, k, provider, budget,
+                                            None))
     auts = automorphisms_preserving(group, w, cap=aut_cap)
-    nrows = d_in[0]
-    if k == 0:
-        pres = AbelianPresentation.from_relation_rows(
-            nrows, [[col.get(i, 0) for i in range(nrows)] for col in d_in[1]])
-        lifts = [{i: 1} for i in range(nrows)]
-        coordinates = lambda vector: [vector.get(i, 0) for i in range(nrows)]
-    else:
-        eliminations, rows, rest = eliminate_units(*d_in)
-        coker = AbelianPresentation.from_relation_rows(
-            len(rows), [rest.column(j) for j in range(rest.cols)])
-        sub, inclusion = coker.torsion_part()
-        pres = AbelianPresentation.from_diagonal(sub.torsion)
-        lifts = [{rows[p]: c for p, c in enumerate(inclusion.matrix.column(j))
-                  if c} for j in range(pres.ngens)]
-
-        def coordinates(vector):
-            reduced = _reduce(eliminations, vector)
-            return list(coker.to_canonical([reduced.get(r, 0)
-                                            for r in rows])[1])
+    free = coker.rank if k == 0 else 0
+    pres = AbelianPresentation.from_diagonal([0] * free + list(coker.torsion))
+    hidden = [0] * (coker.rank - free)
+    lifts = [{i: c for i, c in enumerate(coker.lift(unit[:free] + hidden,
+                                                      unit[free:])) if c}
+             for unit in IntMatrix.identity(pres.ngens).data]
     periodic = _provider_name(group, provider) == "cyclic"
     homs = []
     for alpha in auts:
         if periodic:
             scalar = _periodic_self_map(group, w, k, alpha)
-            perm = range(nrows)
+            perm = range(coker.nrows)
         else:
             _check_descends(group, w, alpha)
             scalar = 1
             perm = _chain_self_map(group, k, alpha)
-        columns = [coordinates({perm[i]: scalar * c for i, c in lift.items()})
-                   for lift in lifts]
+        columns = []
+        for lift in lifts:
+            f, t = coker.coordinates({perm[i]: scalar * c
+                                      for i, c in lift.items()})
+            columns.append(list(f[:free] + t))
         homs.append(AbelianHom(pres, pres, IntMatrix.from_columns(
             columns, rows=pres.ngens)))
     return pres, homs

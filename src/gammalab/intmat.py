@@ -11,8 +11,8 @@ Conventions
   degenerate shapes ``0 x n`` and ``n x 0`` (empty relation sets, rank-zero
   modules) stay unambiguous.
 * A sparse matrix is a row count plus a list of columns, each a
-  ``{row: value}`` map of its nonzero entries; ``eliminate_units`` and
-  ``elementary_divisors`` take this form.
+  ``{row: value}`` map of its nonzero entries; ``eliminate_units``,
+  ``elementary_divisors`` and ``Cokernel`` take this form.
 * The diagonal-only routes never run ``smith_normal_form``, which stays
   for the callers that read a transform and as the test oracle.  A dense
   route and a sparse route meet in one tail, ``dense_elementary_divisors``:
@@ -24,8 +24,11 @@ Conventions
   low, and hands the tail the dense remainder.  It serves the bar
   differentials of homology (up to 2,401 x 4,802, where a dense pass would
   take cubic time), stored and periodic resolutions,
-  ``Resolution.validate`` and module sizes; ``eliminate_units`` also
-  serves the orbit route of homology.
+  ``Resolution.validate`` and module sizes.
+* Canonical coordinates of a cokernel have one route, ``Cokernel``: the
+  unit pivots go through ``eliminate_units``, and only the unit-free
+  remainder goes to ``smith_normal_form``.  Presentations and homology
+  orbits read their coordinates from it.
 * ``smith_normal_form`` returns ``U, D, V`` with ``U * M * V = D``, both
   transforms unimodular, and the diagonal of ``D`` nonnegative with each
   entry dividing the next.  The reduction logs its elementary operations;
@@ -41,8 +44,9 @@ import operator
 from array import array
 from collections import deque
 from functools import cached_property
-from itertools import compress
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain, compress
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 
 def xgcd(a: int, b: int) -> tuple:
@@ -586,6 +590,109 @@ def eliminate_units(nrows: int, columns: Sequence[Mapping[int, int]]
     rest = from_sparse_columns(len(rows), [
         {position[i]: value for i, value in col.items()} for col in live_cols])
     return eliminations, rows, rest
+
+
+def replay_eliminations(eliminations: Sequence[Elimination],
+                        vector: Dict[int, int]) -> Dict[int, int]:
+    """Replay the unit eliminations on the vector ``{row: value}``, used
+    up, in the order they were made: each pivot row's coefficient is traded
+    for the rest of its pivot column, which does not change the class in
+    the cokernel.  The result lives on the surviving rows."""
+    for row, sign, column in eliminations:
+        a = vector.pop(row, 0)
+        if a:
+            a *= sign
+            for r, value in column.items():
+                if r != row:
+                    vector[r] = vector.get(r, 0) - a * value
+    return vector
+
+
+class Cokernel:
+    """Canonical coordinates on the cokernel of a sparse matrix, given as
+    to :func:`eliminate_units`: ``rank`` coordinates in ``Z`` and one in
+    ``Z/d`` per entry ``d`` of ``torsion``, a divisor chain of entries
+    ``>= 2``.
+
+    The unit pivots go first, through :func:`eliminate_units`, and only the
+    unit-free remainder, its columns as rows, goes to
+    :func:`smith_normal_form`.  Coordinates replay the eliminations, then
+    read ``y = V^T x`` on the rows the remainder meets; a surviving row that
+    no column meets is a free coordinate of its own.  Lifts go back through
+    ``V^-1`` onto the surviving rows.  :meth:`diagonal` takes the rows as
+    the coordinates, with neither step.
+    """
+
+    def __init__(self, nrows: int, columns: Sequence[Mapping[int, int]]):
+        self._eliminations, self._rows, rest = eliminate_units(nrows, columns)
+        self._snf = smith_normal_form(rest.transpose())
+        taken = set(self._rows).union(row for row, _, _ in self._eliminations)
+        own = [i for i in range(nrows) if i not in taken]
+        diagonal = self._snf.diagonal
+        self._index(nrows, own, diagonal + [0] * (
+            len(self._rows) - len(diagonal) + len(own)))
+
+    @classmethod
+    def diagonal(cls, orders: Sequence[int]) -> "Cokernel":
+        """``Z/d`` on row ``i`` for ``d = orders[i]`` and ``Z`` for ``0``;
+        the nonzero orders must form a divisor chain of entries ``>= 2``."""
+        coker = cls.__new__(cls)
+        coker._eliminations, coker._rows = [], []
+        coker._snf = SNFResult(IntMatrix(0, 0), [], (array("q"), []))
+        coker._index(len(orders), list(range(len(orders))), list(orders))
+        return coker
+
+    def _index(self, nrows: int, own: List[int], moduli: List[int]) -> None:
+        """Slot ``s`` of ``V^T x`` followed by the ``own`` rows of ``x`` is
+        a ``Z`` coordinate for ``moduli[s] = 0`` and a ``Z/d`` one for ``d
+        >= 2``; ``1`` is dead."""
+        self.nrows, self._own = nrows, own
+        self._free = [s for s, d in enumerate(moduli) if d == 0]
+        self._torsion = [s for s, d in enumerate(moduli) if d > 1]
+        self.rank = len(self._free)
+        self.torsion = tuple(moduli[s] for s in self._torsion)
+
+    def _spread(self, slots: Sequence[int], values: Iterable[int],
+                transform) -> List[int]:
+        """The vector over all rows that holds ``values`` at ``slots`` of
+        ``V^T x`` followed by the own rows, ``transform`` mapping the first
+        part back onto the rows the remainder meets."""
+        z = [0] * (len(self._rows) + len(self._own))
+        for s, value in zip(slots, values):
+            z[s] = value
+        m = len(self._rows)
+        x = [0] * self.nrows
+        for i, value in zip(self._rows + self._own, transform(z[:m]) + z[m:]):
+            x[i] = value
+        return x
+
+    def coordinates(self, vector: Mapping[int, int]
+                    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """``(free, torsion)`` of the class of the vector ``{row: value}``."""
+        x = replay_eliminations(self._eliminations, dict(vector))
+        slots = self._snf.v.vec_mat([x.get(i, 0) for i in self._rows]) + [
+            x.get(i, 0) for i in self._own]
+        return (tuple(slots[s] for s in self._free),
+                tuple(slots[s] % d for s, d in zip(self._torsion, self.torsion)))
+
+    def lift(self, free: Sequence[int], torsion: Sequence[int]) -> List[int]:
+        """A vector with the coordinates ``(free, torsion)``."""
+        if len(free) != self.rank or len(torsion) != len(self.torsion):
+            raise ValueError(
+                f"coordinates of lengths ({len(free)}, {len(torsion)}) do "
+                f"not match ({self.rank}, {len(self.torsion)})")
+        return self._spread(self._free + self._torsion, chain(free, torsion),
+                            self._snf.vinv.vec_mat)
+
+    def functional(self, coefficients: Sequence[int]) -> List[int]:
+        """The row ``f`` with ``f . x = sum(c_i * free_i(x))``, which kills
+        every column: undone last first, each elimination gives its pivot
+        row the value of the rest of its pivot column."""
+        f = self._spread(self._free, coefficients, self._snf.v.mat_vec)
+        for row, sign, column in reversed(self._eliminations):
+            f[row] = -sign * sum(value * f[r] for r, value in column.items()
+                                 if r != row)
+        return f
 
 
 def _diagonalize(a: List[List[int]]) -> List[int]:

@@ -74,7 +74,7 @@ class ZPiModule:
         for s in gens:
             for r in range(self.underlying.relations.rows):
                 image = self.act(s, self.underlying.relations.row(r))
-                if not self.underlying.contains_in_relation_lattice(image):
+                if not self.underlying.element_is_zero(image):
                     raise IncompatibleInputError(
                         f"action of element {s} does not preserve relation {r}")
         for s in gens:

@@ -40,19 +40,20 @@ import random
 
 import pytest
 
-from gammalab import abelian, homology, intmat
+from gammalab import homology, intmat
 from gammalab.abelian import AbelianPresentation
 from gammalab.builtins import (cyclic_group, direct_product,
                                klein_four_group, standard_library)
 from gammalab.errors import BudgetExceededError, IncompatibleInputError
 from gammalab.gamma import quadratic_value
 from gammalab.groups import FiniteGroup, OrientationChar, all_characters
-from gammalab.homology import (MAX_DEGREE, _reduce, group_homology,
+from gammalab.homology import (MAX_DEGREE, group_homology,
                                homology_with_basis, induced_homology_maps)
 from gammalab.intmat import (IntMatrix, SNFSolver,
                              dense_elementary_divisors, elementary_divisors,
                              eliminate_units, from_sparse_columns,
-                             smith_normal_form, sparse_columns)
+                             replay_eliminations, smith_normal_form,
+                             sparse_columns)
 from gammalab.resolutions import (Resolution, chain_resolution,
                                   chain_resolution_ranks, chain_tuples,
                                   periodic_resolution, resolution_cost,
@@ -197,9 +198,8 @@ def test_diagonal_callers_run_no_smith_normal_form(monkeypatch):
     def refuse(m):
         raise AssertionError("the diagonal route ran a Smith normal form")
 
-    # ``abelian`` holds its own reference, which ``_canon`` would use.
+    # Canonical coordinates, which would call it, are built in ``intmat``.
     monkeypatch.setattr(intmat, "smith_normal_form", refuse)
-    monkeypatch.setattr(abelian, "smith_normal_form", refuse)
     assert (quadratic_value(AbelianPresentation.from_relation_rows(
         3, rows)).invariant_factors(),
         group_homology(group, w, 2, provider="bar").invariant_factors()
@@ -250,11 +250,13 @@ def test_replayed_eliminations_stay_in_the_cokernel_class():
         solver = SNFSolver(m)
         for _ in range(4):
             x = [rng.randint(-3, 3) for _ in range(rows)]
-            reduced = _reduce(eliminations,
-                              {i: c for i, c in enumerate(x) if c})
+            reduced = replay_eliminations(eliminations,
+                                          {i: c for i, c in enumerate(x) if c})
             assert not set(reduced) & set(pivots)
             assert solver.contains([c - reduced.get(i, 0)
                                     for i, c in enumerate(x)]), (m, x)
+            assert whole.to_canonical(x) == whole.to_canonical(
+                [reduced.get(i, 0) for i in range(rows)]), (m, x)
 
 
 def test_elementary_divisors_degenerate_shapes():

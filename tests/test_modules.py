@@ -73,16 +73,23 @@ def random_module(rng, group, max_rank=2):
     return module
 
 
-def in_random_basis(rng, module):
-    """The same module in a random unimodular basis ``y = P x``: the action
-    is conjugated by ``P``, each relation row ``r`` becomes ``r P^T``, and
-    the result is never flagged as free."""
-    n = module.underlying.ngens
+def random_basis_change(rng, n):
+    """The unimodular ``P`` that :func:`in_random_basis` draws for ``n``
+    generators from the same ``rng`` state."""
     p = IntMatrix.identity(n)
     for _ in range(2 * n if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
         c = rng.choice((-1, 1))
         p.data[i] = [a + c * b for a, b in zip(p.data[i], p.data[j])]
+    return p
+
+
+def in_random_basis(rng, module):
+    """The same module in a random unimodular basis ``y = P x``: the action
+    is conjugated by ``P``, each relation row ``r`` becomes ``r P^T``, and
+    the result is never flagged as free."""
+    n = module.underlying.ngens
+    p = random_basis_change(rng, n)
     pinv = integer_inverse(p)
     underlying = AbelianPresentation(
         n, module.underlying.relations.mul(p.transpose()))

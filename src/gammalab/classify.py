@@ -17,12 +17,13 @@ from typing import List, Optional, Sequence, Tuple
 from .abelian import AbelianPresentation
 from .errors import (IncompatibleInputError, SingularFormError,
                      UnsupportedInputError)
-from .gamma import gamma_rank, induced_matrix, quadratic_module
+from .gamma import gamma_rank, induced_matrix, pair_images, quadratic_module
 from .groups import (FiniteGroup, GroupRingElement, OrientationChar,
                      bar_involution, central_involutions)
 from .homology import group_homology
 from .intmat import IntMatrix, det
-from .modules import (CoinvariantsResult, ZPiModule, check_coinvariants_budget,
+from .modules import (CoinvariantsResult, ZPiModule, _check_same_group,
+                      _coinvariants_by_orbits, check_coinvariants_budget,
                       free_module, twisted_coinvariants)
 from .resolutions import DEFAULT_BUDGET, Resolution
 
@@ -285,17 +286,33 @@ def kappa_splitting(group: FiniteGroup, w: OrientationChar, pi2: ZPiModule,
     _check_form_module_pair(group, w, pi2, form)
     gamma_coords = lambda_to_gamma(form)
     coinv = gamma_coinvariants(pi2, w)
-    cls = coinv.projection.apply(gamma_coords)
+    cls = coinv.project(gamma_coords)
     return coinv.presentation.functional_hitting_one(cls)
 
 
 def gamma_coinvariants(pi2: ZPiModule, w: OrientationChar,
                        budget: Optional[int] = DEFAULT_BUDGET) -> CoinvariantsResult:
     """Twisted coinvariants of the functor value of ``pi2``, refused before
-    the value is built when their work estimate exceeds ``budget``."""
-    check_coinvariants_budget(pi2.group, gamma_rank(pi2.underlying.ngens), 0,
-                              pi2.table is not None, budget)
-    return twisted_coinvariants(quadratic_module(pi2), w, budget)
+    any work when their estimate exceeds ``budget``.
+
+    For ``pi2`` with a signed-permutation table and no relations, the value
+    is never built: its coinvariants are read off the orbits of its basis
+    (squares, then pairs), each orbit walked with the signed images of
+    :func:`~gammalab.gamma.pair_images`, ``|G|`` of them per orbit rather
+    than ``|G|·n(n+1)/2`` for the value's whole table.  ``pi2`` is checked
+    first, as :func:`~gammalab.gamma.quadratic_module` would check it.  Any
+    other module goes through :func:`~gammalab.gamma.quadratic_module`,
+    which refuses relations.  The budget applies as in
+    :func:`~gammalab.modules.twisted_coinvariants` on the value."""
+    n = pi2.underlying.ngens
+    signed = pi2.table is not None
+    check_coinvariants_budget(pi2.group, gamma_rank(n), 0, signed, budget)
+    if not signed or pi2.underlying.has_explicit_relations():
+        return twisted_coinvariants(quadratic_module(pi2), w, budget)
+    pi2._validate()
+    _check_same_group(pi2, w)
+    return _coinvariants_by_orbits(AbelianPresentation.free(gamma_rank(n)), w,
+                                   pair_images(pi2.table, n), budget)
 
 
 @dataclass
@@ -522,13 +539,13 @@ def _report(group: FiniteGroup, w: OrientationChar, pi2: ZPiModule,
     if form is not None:
         # lambda_to_gamma without its second hermitian check.
         gamma_coords = _symmetric_value(form)
-        cls = coinv.projection.apply(gamma_coords)
+        cls = coinv.project(gamma_coords)
         functional = coinv.presentation.functional_hitting_one(cls)
         # The functional exists exactly when the gcd of the free canonical
         # coordinates is 1, which is primitivity modulo torsion.
         report.lambda_primitive = functional is not None
         if functional is not None:
-            functional = coinv.projection.matrix.vec_mat(functional)
+            functional = coinv.pull_back(functional)
         report.lambda_class = gamma_coords
         report.kappa_functional = functional
         report.form_matrix = [row[:] for row in form.matrix]

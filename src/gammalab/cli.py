@@ -20,6 +20,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional
 
 from .abelian import AbelianPresentation
@@ -186,12 +187,55 @@ def _presentation_doc(value) -> Dict:
             "description": value.describe()}
 
 
+def _structured(value, level: int = 0) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for a value at depth
+    ``level``, written in one pass.
+
+    Values of exact type ``int`` and ``str``, ``True``, ``False``,
+    ``None``, lists, tuples and dicts with string keys are written here, an
+    all-``int`` list in one join; anything else goes to :func:`json.dumps`,
+    whose newlines then take the indent of ``level`` (strings escape
+    theirs).  An ``int`` too long to write raises the same ``ValueError``
+    as there.
+    """
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    outer = "\n" + "  " * level
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = ",\n" + "  " * (level + 1)
+        if all(type(x) is int for x in value):
+            body = inner.join(map(str, value))
+        else:
+            body = inner.join([_structured(x, level + 1) for x in value])
+        return "[" + inner[1:] + body + outer + "]"
+    if kind is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        inner = ",\n" + "  " * (level + 1)
+        body = inner.join([encode_basestring_ascii(k) + ": "
+                           + _structured(value[k], level + 1)
+                           for k in sorted(value)])
+        return "{" + inner[1:] + body + outer + "}"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", outer)
+
+
 def _emit(args, table_lines: List[str], doc: Dict) -> None:
     if args.format == "structured":
         doc = dict(doc)
         doc["schema"] = SCHEMA
         doc["command"] = args.command
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(_structured(doc))
     else:
         for line in table_lines:
             print(line)
@@ -277,7 +321,7 @@ def _census_table(report) -> List[str]:
         f"group order = {report.group_order}",
         "module free rank over the group ring = "
         + (str(report.free_rank) if report.free_rank is not None
-           else "not free"),
+           else "not recognized as free"),
         f"coinvariants = {report.coinvariants.describe()}",
         f"torsion = {report.torsion.describe()}",
         f"count = {report.count}",

@@ -237,24 +237,51 @@ def split_indices(n_first: int, n_second: int) -> Tuple[List[int], List[int], Li
     return first, mixed, second
 
 
+def pair_images(table, n: int):
+    """The signed images of the basis of the value on ``Z^n`` under a
+    signed-permutation action on ``Z^n`` given by its ``table``.
+
+    The functor sends ``e.x`` to ``e^2`` times the square of ``x``, so ``g``
+    sends ``v_a`` to ``v_(ga)`` and ``w_ab`` to ``e_a.e_b.w_(ga)(gb)``, for
+    ``g.a = e_a.(ga)``.  Writing ``v_a`` as the pair ``(a, a)`` makes that
+    one formula.  Returns the function that lists, for basis vector ``x``
+    of the value and each group element in index order, the image's
+    position and sign, in the form the orbit walk of
+    :func:`~gammalab.modules._coinvariants_by_orbits` reads.
+    """
+    start = _pair_starts(n)
+    # The position of the pair (a, b), in either order.
+    position = [[start[a] + b if a < b else start[b] + a if b < a else a
+                 for b in range(n)] for a in range(n)]
+    pairs = [(a, a) for a in range(n)]
+    pairs += [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+    def images(x: int) -> List[Tuple[int, int]]:
+        a, b = pairs[x]
+        return [(position[ia[a]][ia[b]], sa[a] * sa[b]) for ia, sa in table]
+
+    return images
+
+
 def quadratic_module(module):
     """Apply the functor to a module over a group ring: same group, induced
     action, free underlying group.
 
     Requires the underlying abelian group to be free (no relation rows),
     which covers every module this library constructs.  The value of a
-    signed-permutation module is one too, since the functor sends ``e.x`` to
-    ``e^2`` times the square of ``x``: ``g`` sends ``v_x`` to ``v_gx`` and
-    ``w_xy`` to ``e_x.e_y.w_(gx)(gy)``.  Its table is built directly, so
-    the twisted coinvariants take the orbit route.  Any other module gets
-    induced matrices and the relation-row route.
+    signed-permutation module is one too, with the table of
+    :func:`pair_images`; any other module gets induced matrices.
+    :func:`~gammalab.classify.gamma_coinvariants` reads the coinvariants of
+    the value off :func:`pair_images` without building it, so this
+    function is their test oracle.
 
     The value is checked through its input.  The functor sends the identity
     map to the identity and a composite ``f.g`` to the composite of the
     induced maps, so when the action on the input is a module action, so is
     the induced one; the value is free, so it has no relations to preserve.
-    The input's check runs here, on ``n`` basis vectors, even when it was
-    built with ``check=False``, and the value of rank ``n(n+1)/2`` is built
+    The input's own check (on ``n`` basis vectors) runs here unless the
+    input has already passed it, even when it was built with
+    ``check=False``, and the value of rank ``n(n+1)/2`` is built
     unchecked.  An input that fails its own check is refused with its own
     message, even where the signs it gets wrong square away in the value.
     """
@@ -271,17 +298,8 @@ def quadratic_module(module):
         action = [induced_matrix(module.action_matrix(g))
                   for g in range(module.group.order)]
         return ZPiModule(module.group, value, action, check=False)
-    start = _pair_starts(n)
-    # The position of w_ab, for a and b in either order.
-    pair = [[start[a] + b if a < b else start[b] + a for b in range(n)]
-            for a in range(n)]
-    table = []
-    for images, signs in module.table:
-        pairs, pair_signs = [], []
-        for i in range(n):
-            row, sign = pair[images[i]], signs[i]
-            for j in range(i + 1, n):
-                pairs.append(row[images[j]])
-                pair_signs.append(sign * signs[j])
-        table.append((images + pairs, [1] * n + pair_signs))
+    images = pair_images(module.table, n)
+    columns = [images(x) for x in range(gamma_rank(n))]
+    table = [([c[g][0] for c in columns], [c[g][1] for c in columns])
+             for g in range(module.group.order)]
     return ZPiModule(module.group, value, check=False, table=table)

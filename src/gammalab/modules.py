@@ -14,9 +14,9 @@ to a subgroup, and the wrong-way transfer map on coinvariants.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import compress
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .abelian import AbelianHom, AbelianPresentation
 from .errors import BudgetExceededError, IncompatibleInputError
@@ -28,6 +28,10 @@ from .resolutions import DEFAULT_BUDGET
 # ``table[g] = (images, signs)``: element ``g`` sends basis vector ``i`` to
 # ``signs[i]`` times basis vector ``images[i]``.
 SignedTable = List[Tuple[List[int], List[int]]]
+
+# ``images(x)`` lists, one ``(y, e)`` per group element in index order, that
+# the element sends basis vector ``x`` to ``e`` times basis vector ``y``.
+SignedImages = Callable[[int], List[Tuple[int, int]]]
 
 
 class ZPiModule:
@@ -47,6 +51,7 @@ class ZPiModule:
         self._action = None if action is None else list(action)
         self.table = table
         self.zpi_free_rank = zpi_free_rank
+        self._valid = False
         given = self._action if table is None else table
         if len(given) != group.order:
             raise IncompatibleInputError(
@@ -62,6 +67,15 @@ class ZPiModule:
             self._validate()
 
     def _validate(self) -> None:
+        """Check the module axioms: the identity acts as the identity, each
+        element of a generating set preserves the relations, and its action
+        composes with every element's as the group table says.
+
+        A module passes once: success is recorded on the instance, and a
+        later call returns at once.  A module that fails raises every time
+        it is checked."""
+        if self._valid:
+            return
         n = self.underlying.ngens
         if self.table is None:
             identity = self.action[0] == IntMatrix.identity(n)
@@ -89,6 +103,7 @@ class ZPiModule:
                 if not ok:
                     raise IncompatibleInputError(
                         f"action is not multiplicative at ({s}, {h})")
+        self._valid = True
 
     @property
     def action(self) -> List[IntMatrix]:
@@ -157,10 +172,15 @@ def _free_table(group: FiniteGroup, rank: int) -> SignedTable:
 
 
 def free_module(group: FiniteGroup, rank: int) -> ZPiModule:
-    """The free module of the given rank, in the layout of :func:`_free_table`."""
-    return ZPiModule(group, AbelianPresentation.free(rank * group.order),
-                     zpi_free_rank=rank, check=False,
-                     table=_free_table(group, rank))
+    """The free module of the given rank, in the layout of :func:`_free_table`.
+
+    Left translation by a group is an action, so the module is valid by
+    construction and starts as checked."""
+    module = ZPiModule(group, AbelianPresentation.free(rank * group.order),
+                       zpi_free_rank=rank, check=False,
+                       table=_free_table(group, rank))
+    module._valid = True
+    return module
 
 
 def regular_module(group: FiniteGroup) -> ZPiModule:
@@ -239,18 +259,59 @@ def detect_free_structure(module: ZPiModule) -> Optional[int]:
     return rank if table == _free_table(module.group, rank) else None
 
 
-@dataclass
 class CoinvariantsResult:
     """A presentation of the twisted coinvariants with the quotient data.
 
-    ``projection`` maps the module's underlying group onto the presentation;
-    ``section`` picks a generator representative per presentation generator
-    (``projection . section`` is the identity on generators).
+    Basis vector ``y`` of the module's underlying group ``source`` projects
+    to ``sign[y]`` times generator ``orbit[y]`` of the presentation, and
+    presentation generator ``j`` lifts to basis vector ``firsts[j]``.
+    :meth:`project` and :meth:`pull_back` read those lists, in time linear
+    in the rank of ``source``.  The dense ``projection`` (an
+    :class:`~gammalab.abelian.AbelianHom` from ``source``) and ``section``
+    (``projection . section`` is the identity on generators) are built from
+    them on first read.
     """
 
-    presentation: AbelianPresentation
-    projection: AbelianHom
-    section: IntMatrix
+    def __init__(self, source: AbelianPresentation,
+                 presentation: AbelianPresentation, orbit: List[int],
+                 sign: List[int], firsts: List[int]):
+        self.source = source
+        self.presentation = presentation
+        self.orbit = orbit
+        self.sign = sign
+        self.firsts = firsts
+
+    def project(self, x: Sequence[int]) -> List[int]:
+        """The class of ``x``, a vector over the basis of ``source``."""
+        if len(x) != len(self.orbit):
+            raise ValueError(f"vector length {len(x)} does not match "
+                             f"{len(self.orbit)} columns")
+        out = [0] * self.presentation.ngens
+        for y in compress(range(len(x)), x):
+            out[self.orbit[y]] += self.sign[y] * x[y]
+        return out
+
+    def pull_back(self, f: Sequence[int]) -> List[int]:
+        """The row over the basis of ``source`` of the functional ``f`` on
+        the presentation's generators, composed with the projection."""
+        if len(f) != self.presentation.ngens:
+            raise ValueError(f"vector length {len(f)} does not match "
+                             f"{self.presentation.ngens} rows")
+        return [f[o] * e for o, e in zip(self.orbit, self.sign)]
+
+    @cached_property
+    def projection(self) -> AbelianHom:
+        proj = IntMatrix.zeros(self.presentation.ngens, self.source.ngens)
+        for y, (o, e) in enumerate(zip(self.orbit, self.sign)):
+            proj.data[o][y] = e
+        return AbelianHom(self.source, self.presentation, proj, check=False)
+
+    @cached_property
+    def section(self) -> IntMatrix:
+        section = IntMatrix.zeros(self.source.ngens, len(self.firsts))
+        for j, x in enumerate(self.firsts):
+            section.data[x][j] = 1
+        return section
 
 
 def twisted_coinvariants(module: ZPiModule, w: OrientationChar,
@@ -258,24 +319,21 @@ def twisted_coinvariants(module: ZPiModule, w: OrientationChar,
     """The quotient of the module by all ``g.m - w(g).m``.
 
     A module without relations that carries a signed-permutation table is
-    read off the orbits of its basis vectors, with no Smith normal form:
-    take one generator per orbit, its first basis vector ``x``.  When some
-    ``s`` fixes ``x`` with ``s.x = e.x`` and ``e != w(s)``, the twist
-    relation ``(e - w(s)).x`` makes it ``Z/2``; otherwise it is ``Z``.  The
-    basis vector ``y = e.g.x`` projects to ``e.w(g)`` times its generator,
-    and the section picks the first vectors.  Free modules give one copy of
-    the integers per module generator, ``(i, g)`` going to ``w(g)`` times
-    the i-th unit.
+    read off the orbits of its basis vectors, with no Smith normal form, by
+    :func:`_coinvariants_by_orbits`.  Free modules give one copy of the
+    integers per module generator, ``(i, g)`` going to ``w(g)`` times the
+    i-th unit.
 
     Every other module takes the relation-row route: its relations plus the
     twist relations of a generating set (products and inverses of twists
-    stay in the same lattice, so nothing is lost), with the identity as
-    projection and section.
+    stay in the same lattice, so nothing is lost), with each basis vector
+    its own generator, so that projection and section are the identity.
 
     ``budget`` bounds the work estimate of :func:`check_coinvariants_budget`
     before anything is built, and on the orbit route, once the ``k`` orbits
     of the ``n`` basis vectors are known, the ``k·n`` entries of the dense
-    projection and section; ``None`` removes the bound.
+    projection and section, whether or not they are read; ``None`` removes
+    the bound.
     """
     _check_same_group(module, w)
     signed = (module.table is not None
@@ -283,7 +341,11 @@ def twisted_coinvariants(module: ZPiModule, w: OrientationChar,
     check_coinvariants_budget(module.group, module.underlying.ngens,
                               module.underlying.relations.rows, signed, budget)
     if signed:
-        return _coinvariants_by_orbits(module, w, budget)
+        table = module.table
+        return _coinvariants_by_orbits(
+            module.underlying, w,
+            lambda x: [(images[x], signs[x]) for images, signs in table],
+            budget)
     n = module.underlying.ngens
     rows = [list(module.underlying.relations.row(r))
             for r in range(module.underlying.relations.rows)]
@@ -293,9 +355,9 @@ def twisted_coinvariants(module: ZPiModule, w: OrientationChar,
         for j in range(n):
             rows.append([mat.data[i][j] - (ws if i == j else 0) for i in range(n)])
     presentation = AbelianPresentation.from_relation_rows(n, rows)
-    projection = AbelianHom(module.underlying, presentation,
-                            IntMatrix.identity(n), check=False)
-    return CoinvariantsResult(presentation, projection, IntMatrix.identity(n))
+    every = list(range(n))
+    return CoinvariantsResult(module.underlying, presentation, every,
+                              [1] * n, every)
 
 
 def check_coinvariants_budget(group: FiniteGroup, ngens: int,
@@ -317,9 +379,21 @@ def check_coinvariants_budget(group: FiniteGroup, ngens: int,
             f"{budget}; raise the budget or use a smaller module")
 
 
-def _coinvariants_by_orbits(module: ZPiModule, w: OrientationChar,
+def _coinvariants_by_orbits(source: AbelianPresentation, w: OrientationChar,
+                            images: SignedImages,
                             budget: Optional[int]) -> CoinvariantsResult:
-    n = module.underlying.ngens
+    """Twisted coinvariants of a signed-permutation action on the free
+    group ``source``, read off the orbits of its basis; ``images`` gives
+    the signed images of one basis vector, and is asked once per orbit.
+
+    Each orbit gives one generator, its first basis vector ``x``.  When
+    some ``s`` fixes ``x`` with ``s.x = e.x`` and ``e != w(s)``, the twist
+    relation ``(e - w(s)).x`` makes it ``Z/2``; otherwise it is ``Z``.  The
+    basis vector ``y = e.g.x`` projects to ``e.w(g)`` times its generator.
+    ``budget`` bounds the ``k·n`` entries of the dense projection for ``k``
+    orbits of ``n`` basis vectors, once the orbits are known.
+    """
+    n = source.ngens
     orbit = [-1] * n
     sign = [0] * n
     firsts: List[int] = []
@@ -327,12 +401,13 @@ def _coinvariants_by_orbits(module: ZPiModule, w: OrientationChar,
     for x in range(n):
         if orbit[x] >= 0:
             continue
-        orbit[x], sign[x] = len(firsts), 1
+        k = len(firsts)
+        orbit[x], sign[x] = k, 1
         order = 0
-        for (images, signs), wg in zip(module.table, w.values):
-            y, e = images[x], signs[x] * wg
+        for (y, e), wg in zip(images(x), w.values):
+            e *= wg
             if orbit[y] < 0:
-                orbit[y], sign[y] = len(firsts), e
+                orbit[y], sign[y] = k, e
             elif y == x and e != 1:
                 order = 2
         firsts.append(x)
@@ -343,15 +418,8 @@ def _coinvariants_by_orbits(module: ZPiModule, w: OrientationChar,
             f"twisted coinvariants projection of {k} orbits by {n} basis "
             f"vectors ({k * n} entries) exceeds budget {budget}; raise the "
             "budget or use a smaller module")
-    proj = IntMatrix.zeros(k, n)
-    for y in range(n):
-        proj.data[orbit[y]][y] = sign[y]
-    section = IntMatrix.zeros(n, k)
-    for j, x in enumerate(firsts):
-        section.data[x][j] = 1
-    presentation = AbelianPresentation.from_diagonal(orders)
-    projection = AbelianHom(module.underlying, presentation, proj, check=False)
-    return CoinvariantsResult(presentation, projection, section)
+    return CoinvariantsResult(source, AbelianPresentation.from_diagonal(orders),
+                              orbit, sign, firsts)
 
 
 def _check_same_group(module: ZPiModule, w: OrientationChar) -> None:

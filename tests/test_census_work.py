@@ -7,9 +7,12 @@ Each test pins one shortcut against the longer route it replaces:
   matrix, and ``lambda_primitive`` against ``is_primitive_mod_torsion``;
 * ``resolve_input`` on plain strings against a pathlib reference kept here;
 * the functor value of a module, checked through the module (its own
-  check, never the value's), with the refusals that follow from that;
+  check, never the value's), with the refusals that follow from that; a
+  module file in the standard free layout is not checked at all, and any
+  other module file once per query;
 * the census, coinvariants and obstruction torsion without
-  ``torsion_part``, and a structured census without its table lines.
+  ``torsion_part``, and a structured census without its table lines;
+* the zero module, which loads as the free module of rank zero.
 """
 
 import io
@@ -216,30 +219,65 @@ def write_free_module(tmp_path, group, rank):
     return str(path)
 
 
+def write_permuted_module(tmp_path, group, rank, seed):
+    """The free module of the given rank written in a seeded permuted,
+    sign-flipped basis: still a signed permutation, but not the standard
+    free layout."""
+    module = free_module(group, rank)
+    n = module.underlying.ngens
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    change = IntMatrix.zeros(n, n)
+    for i, j in enumerate(perm):
+        change.data[j][i] = rng.choice((-1, 1))
+    # A signed permutation matrix is inverted by its transpose.
+    back = change.transpose()
+    path = tmp_path / f"permuted_{rank}_{seed}.json"
+    path.write_text(json.dumps({
+        "ngens": n, "relations": [],
+        "action": {str(g): change.mul(module.action[g]).mul(back).data
+                   for g in range(group.order)}}), encoding="utf-8")
+    return str(path)
+
+
 def test_structured_census_checks_the_module_and_not_its_value(
         tmp_path, monkeypatch):
+    """A module file in the standard free layout is ``free_module``'s
+    module, valid by construction, so it is never checked; any other module
+    file is checked once per query, on load; Γ(M) is never checked."""
     checked = []
     original = ZPiModule._validate
 
     def counting(self):
-        checked.append(self.underlying.ngens)
+        if not self._valid:
+            checked.append(self.underlying.ngens)
         return original(self)
 
     monkeypatch.setattr(ZPiModule, "_validate", counting)
     d4, _ = load_group(bundled_path("group", "d4"))
-    cases = [
+    z3 = standard_library()["z3"]
+    free_layout = [
         (["--group", "z2", "--character", "w", "--module", "z2_regular",
           "--form", "rp4cp2"], 2),
         (["--group", "d4", "--character", "w2", "--module",
           write_free_module(tmp_path, d4, 2)], 16),
     ]
-    for argv, n in cases:
-        checked.clear()
-        code, out, err = run_cli(["census"] + argv + ["--format", "structured"])
-        assert (code, err) == (0, ""), argv
-        assert json.loads(out)["count"] >= 1
-        assert checked == [n, n], argv
-        assert gamma_rank(n) not in checked
+    permuted = [
+        (["--group", "d4", "--character", "w1", "--module",
+          write_permuted_module(tmp_path, d4, 1, seed)], 8)
+        for seed in (3, 4)
+    ] + [(["--group", "z3", "--module",
+           write_permuted_module(tmp_path, z3, 2, 5)], 6)]
+    for cases, expected in ((free_layout, 0), (permuted, 1)):
+        for argv, n in cases:
+            checked.clear()
+            code, out, err = run_cli(["census"] + argv
+                                     + ["--format", "structured"])
+            assert (code, err) == (0, ""), argv
+            assert json.loads(out)["count"] >= 1
+            assert checked == [n] * expected, argv
+            assert gamma_rank(n) not in checked
 
 
 def z3_global_sign_table():
@@ -359,3 +397,78 @@ def test_census_and_coinvariants_read_torsion_from_the_invariants(
             assert obstruction_torsion(
                 groups[name], w, free_module(groups[name], 1)).describe() \
                 == torsion[name, w.values]
+
+
+# -- the zero module ----------------------------------------------------------
+
+
+def write_zero_module(tmp_path, group):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({
+        "ngens": 0, "relations": [],
+        "action": {str(g): [] for g in range(group.order)}}),
+        encoding="utf-8")
+    return str(path)
+
+
+def test_zero_module_is_the_free_module_of_rank_zero(tmp_path):
+    z2, characters = load_group(bundled_path("group", "z2"))
+    module = serialize.load_module(write_zero_module(tmp_path, z2), z2)
+    assert module.zpi_free_rank == 0 and module.underlying.ngens == 0
+    assert module.table == free_module(z2, 0).table
+    coinv = gamma_coinvariants(module, characters["w"])
+    assert coinv.presentation.invariant_factors() == (0, ())
+    assert coinv.project([]) == [] and coinv.pull_back([]) == []
+
+
+ZERO_CENSUS_TABLE = [
+    "group order = 2",
+    "module free rank over the group ring = 0",
+    "coinvariants = 0",
+    "torsion = 0",
+    "count = 1",
+    "involutions with sign -1: r = 1",
+    "torsion matches (Z/2)^(r k) prediction: yes",
+    "norm-quotient coinvariants = Z/2 (cyclic of group order: yes)",
+    "norm-quotient first derived functor trivial: yes",
+]
+
+ZERO_INVARIANTS = {"description": "0", "rank": 0, "torsion": []}
+
+
+def test_census_and_coinvariants_of_the_zero_module(tmp_path):
+    z2, _ = load_group(bundled_path("group", "z2"))
+    form = tmp_path / "form_rank0.json"
+    form.write_text(json.dumps({"rank": 0, "matrix": []}), encoding="utf-8")
+    common = ["--group", "z2", "--character", "w", "--module",
+              write_zero_module(tmp_path, z2)]
+    census_doc = {
+        "coinvariants": ZERO_INVARIANTS, "command": "census", "count": 1,
+        "free_rank": 0, "group_order": 2, "involution_rank": 1,
+        "kappa_functional": None, "lambda_class": None,
+        "lambda_primitive": None,
+        "norm_quotient": {
+            "coinvariants": {"description": "Z/2", "rank": 0,
+                             "torsion": [2]},
+            "cyclic_of_group_order": True, "tor1_trivial": True},
+        "schema": "gammalab-report/1", "torsion": ZERO_INVARIANTS,
+        "torsion_matches_involution_formula": True}
+    with_form = dict(census_doc, form_matrix=[], lambda_class=[],
+                     lambda_primitive=False)
+    cases = [
+        (["census"], ZERO_CENSUS_TABLE + ["form: not supplied"], census_doc),
+        (["census", "--form", str(form)],
+         ZERO_CENSUS_TABLE + [
+             "form class in coinvariants = [] (primitive modulo torsion: no)",
+             "splitting functional: absent"], with_form),
+        (["coinvariants"], ["coinvariants = 0", "torsion subgroup = 0"],
+         {"coinvariants": ZERO_INVARIANTS, "command": "coinvariants",
+          "schema": "gammalab-report/1", "torsion": ZERO_INVARIANTS}),
+    ]
+    for head, lines, doc in cases:
+        code, out, err = run_cli(head + common)
+        assert (code, err) == (0, ""), head
+        assert out.splitlines() == lines, head
+        code, out, err = run_cli(head + common + ["--format", "structured"])
+        assert (code, err) == (0, ""), head
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n", head

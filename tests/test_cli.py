@@ -369,7 +369,8 @@ def test_census_module_only(capsys):
                                     "--module", "z2_z_plus_ztwist"])
     assert code == 0
     lines = out.splitlines()
-    assert "module free rank over the group ring = not free" in lines
+    assert "module free rank over the group ring = not recognized as free" \
+        in lines
     assert "count = 4" in lines
     assert "torsion matches (Z/2)^(r k) prediction: not applicable" in lines
     assert "form: not supplied" in lines

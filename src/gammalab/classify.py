@@ -24,7 +24,8 @@ from .homology import group_homology
 from .intmat import IntMatrix, det
 from .modules import (CoinvariantsResult, ZPiModule, _check_same_group,
                       _coinvariants_by_orbits, check_coinvariants_budget,
-                      free_module, twisted_coinvariants)
+                      check_projection_budget, free_module,
+                      twisted_coinvariants)
 from .resolutions import DEFAULT_BUDGET, Resolution
 
 __all__ = [
@@ -303,7 +304,9 @@ def gamma_coinvariants(pi2: ZPiModule, w: OrientationChar,
     first, as :func:`~gammalab.gamma.quadratic_module` would check it.  Any
     other module goes through :func:`~gammalab.gamma.quadratic_module`,
     which refuses relations.  The budget applies as in
-    :func:`~gammalab.modules.twisted_coinvariants` on the value."""
+    :func:`~gammalab.modules.twisted_coinvariants` on the value.  The
+    orbit-route answer is kept on ``pi2`` per character, and both budget
+    checks still run on every call, the ``k·N`` one on the kept orbits."""
     n = pi2.underlying.ngens
     signed = pi2.table is not None
     check_coinvariants_budget(pi2.group, gamma_rank(n), 0, signed, budget)
@@ -311,8 +314,12 @@ def gamma_coinvariants(pi2: ZPiModule, w: OrientationChar,
         return twisted_coinvariants(quadratic_module(pi2), w, budget)
     pi2._validate()
     _check_same_group(pi2, w)
-    return _coinvariants_by_orbits(AbelianPresentation.free(gamma_rank(n)), w,
-                                   pair_images(pi2.table, n), budget)
+    kept = pi2._gamma_coinvariants
+    result = kept.get(w.values) or _coinvariants_by_orbits(
+        AbelianPresentation.free(gamma_rank(n)), w, pair_images(pi2.table, n))
+    check_projection_budget(result, budget)
+    kept[w.values] = result
+    return result
 
 
 @dataclass

@@ -107,8 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also count torsion classes up to sign and "
                             "automorphisms")
     p_hom.add_argument("--aut-cap", type=int, default=DEFAULT_AUT_CAP,
-                       help="largest automorphism group enumerated for "
-                            f"--orbits (default {DEFAULT_AUT_CAP})")
+                       help="largest group order whose automorphisms are "
+                            f"enumerated for --orbits (default "
+                            f"{DEFAULT_AUT_CAP})")
     p_hom.set_defaults(func=cmd_homology)
 
     p_census = sub.add_parser(
@@ -127,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbit.add_argument("--degree", type=int, required=True,
                          help=f"homology degree (0..{MAX_DEGREE})")
     p_orbit.add_argument("--aut-cap", type=int, default=DEFAULT_AUT_CAP,
-                         help="largest automorphism group enumerated "
-                              f"(default {DEFAULT_AUT_CAP})")
+                         help="largest group order whose automorphisms "
+                              f"are enumerated (default {DEFAULT_AUT_CAP})")
     p_orbit.set_defaults(func=cmd_orbit)
 
     p_verify = sub.add_parser(
@@ -400,6 +401,8 @@ def cmd_census(args) -> int:
 
 
 def _orbit_report(args, group, w, budget, stored):
+    if args.aut_cap <= 0:
+        raise ParseError(f"aut cap must be positive, got {args.aut_cap}")
     if stored is not None:
         raise UnsupportedInputError(
             "orbit counting picks its own resolution; drop "

@@ -52,6 +52,8 @@ class ZPiModule:
         self.table = table
         self.zpi_free_rank = zpi_free_rank
         self._valid = False
+        # Γ's coinvariants per character, kept by classify.gamma_coinvariants.
+        self._gamma_coinvariants: Dict[tuple, "CoinvariantsResult"] = {}
         given = self._action if table is None else table
         if len(given) != group.order:
             raise IncompatibleInputError(
@@ -342,10 +344,11 @@ def twisted_coinvariants(module: ZPiModule, w: OrientationChar,
                               module.underlying.relations.rows, signed, budget)
     if signed:
         table = module.table
-        return _coinvariants_by_orbits(
+        result = _coinvariants_by_orbits(
             module.underlying, w,
-            lambda x: [(images[x], signs[x]) for images, signs in table],
-            budget)
+            lambda x: [(images[x], signs[x]) for images, signs in table])
+        check_projection_budget(result, budget)
+        return result
     n = module.underlying.ngens
     rows = [list(module.underlying.relations.row(r))
             for r in range(module.underlying.relations.rows)]
@@ -380,8 +383,7 @@ def check_coinvariants_budget(group: FiniteGroup, ngens: int,
 
 
 def _coinvariants_by_orbits(source: AbelianPresentation, w: OrientationChar,
-                            images: SignedImages,
-                            budget: Optional[int]) -> CoinvariantsResult:
+                            images: SignedImages) -> CoinvariantsResult:
     """Twisted coinvariants of a signed-permutation action on the free
     group ``source``, read off the orbits of its basis; ``images`` gives
     the signed images of one basis vector, and is asked once per orbit.
@@ -390,8 +392,7 @@ def _coinvariants_by_orbits(source: AbelianPresentation, w: OrientationChar,
     some ``s`` fixes ``x`` with ``s.x = e.x`` and ``e != w(s)``, the twist
     relation ``(e - w(s)).x`` makes it ``Z/2``; otherwise it is ``Z``.  The
     basis vector ``y = e.g.x`` projects to ``e.w(g)`` times its generator.
-    ``budget`` bounds the ``k·n`` entries of the dense projection for ``k``
-    orbits of ``n`` basis vectors, once the orbits are known.
+    Callers bound the result with :func:`check_projection_budget`.
     """
     n = source.ngens
     orbit = [-1] * n
@@ -412,14 +413,20 @@ def _coinvariants_by_orbits(source: AbelianPresentation, w: OrientationChar,
                 order = 2
         firsts.append(x)
         orders.append(order)
-    k = len(firsts)
+    return CoinvariantsResult(source, AbelianPresentation.from_diagonal(orders),
+                              orbit, sign, firsts)
+
+
+def check_projection_budget(result: CoinvariantsResult,
+                            budget: Optional[int]) -> None:
+    """Refuse orbit-route coinvariants whose dense projection, ``k·n``
+    entries for ``k`` orbits of ``n`` basis vectors, exceeds ``budget``."""
+    k, n = len(result.firsts), len(result.orbit)
     if budget is not None and k * n > budget:
         raise BudgetExceededError(
             f"twisted coinvariants projection of {k} orbits by {n} basis "
             f"vectors ({k * n} entries) exceeds budget {budget}; raise the "
             "budget or use a smaller module")
-    return CoinvariantsResult(source, AbelianPresentation.from_diagonal(orders),
-                              orbit, sign, firsts)
 
 
 def _check_same_group(module: ZPiModule, w: OrientationChar) -> None:

@@ -10,6 +10,7 @@ the library uses.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from importlib import resources
@@ -39,21 +40,36 @@ __all__ = [
     "bundled_path",
     "resolve_input",
     "MIN_RESOLUTION_LENGTH",
+    "LOADED_TEXTS",
 ]
 
 MIN_RESOLUTION_LENGTH = 5
 
 
-def load_document(path: str) -> dict:
-    """Read a structured text file into a mapping, with diagnostics."""
+class _FileText(str):
+    """A file's text, equal to and hashed as the text alone; ``path`` names
+    the file in the messages of a failed parse."""
+    path: str
+
+
+def _read_text(path: str) -> _FileText:
+    """The whole text of a file, with diagnostics."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            text = _FileText(handle.read())
     except OSError as exc:
         raise ParseError(f"{path}: cannot read file: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8 text (byte {exc.start}): "
                          f"{exc.reason}") from exc
+    text.path = path
+    return text
+
+
+def _decode_document(text: str, path: str) -> dict:
+    """The mapping a file's ``text`` holds; diagnostics name ``path``."""
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: not valid structured text (line {exc.lineno}, "
@@ -68,6 +84,11 @@ def load_document(path: str) -> dict:
         raise ParseError(f"{path}: top level must be a mapping, "
                          f"not {type(doc).__name__}")
     return doc
+
+
+def load_document(path: str) -> dict:
+    """Read a structured text file into a mapping, with diagnostics."""
+    return _decode_document(_read_text(path), path)
 
 
 def _require(doc: dict, field: str, origin: str):
@@ -291,8 +312,27 @@ def parse_resolution(doc: dict, group: FiniteGroup,
     return resolution
 
 
+# Texts of group and module files kept per process: more than a census
+# run fixes (the benchmark's holds 9 groups and 21 modules), few enough that
+# a process meeting many files keeps little, one text and its objects each.
+LOADED_TEXTS = 64
+
+
+@functools.lru_cache(maxsize=LOADED_TEXTS)
+def _parsed(text: _FileText, parse: Callable, *context):
+    """``parse`` of the document in ``text`` over ``context``, once per
+    text and context; a failed parse is not kept."""
+    return parse(_decode_document(text, text.path), *context,
+                 origin=text.path)
+
+
 def load_group(path: str) -> Tuple[FiniteGroup, Dict[str, OrientationChar]]:
-    return parse_group(load_document(path), origin=path)
+    """The group in the file at ``path`` and its named characters.  The
+    file is read on every call; a text already loaded gives back the same,
+    already checked, objects (the characters in a new dict).  A failure is
+    not kept, so a bad file fails the same way every time."""
+    group, characters = _parsed(_read_text(path), parse_group)
+    return group, dict(characters)
 
 
 def load_presentation(path: str) -> AbelianPresentation:
@@ -300,7 +340,9 @@ def load_presentation(path: str) -> AbelianPresentation:
 
 
 def load_module(path: str, group: FiniteGroup) -> ZPiModule:
-    return parse_module(load_document(path), group, origin=path)
+    """The module over ``group`` in the file at ``path``, kept as in
+    :func:`load_group`, per text and group object."""
+    return _parsed(_read_text(path), parse_module, group)
 
 
 def load_form(path: str, group: FiniteGroup,

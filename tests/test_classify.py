@@ -795,12 +795,18 @@ def test_module_census_refuses_orbit_projection_over_budget(tmp_path,
                                                             capsys):
     """The trivial module of rank 80 over the trivial group passes the
     first estimate (functor value rank 3,240 times order 1), but its 3,240
-    orbits need a 3,240 x 3,240 projection."""
+    orbits need a 3,240 x 3,240 projection.  The refusal repeats, with the
+    same message, after an unbounded call has kept the orbits."""
     group = trivial_group()
     w = OrientationChar.trivial(group)
     with pytest.raises(BudgetExceededError,
-                       match="3240 orbits by 3240 basis vectors"):
+                       match="3240 orbits by 3240 basis vectors") as cold:
         module_census(group, w, trivial_module(group, 80))
+    kept = trivial_module(group, 80)
+    assert module_census(group, w, kept, budget=None).coinvariants.ngens == 3240
+    with pytest.raises(BudgetExceededError) as warm:
+        module_census(group, w, kept)
+    assert str(warm.value) == str(cold.value)
     module = tmp_path / "m.json"
     module.write_text(json.dumps({"ngens": 80, "action": {
         "0": IntMatrix.identity(80).data}}))

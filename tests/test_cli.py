@@ -206,6 +206,23 @@ def test_budget_must_be_positive(capsys):
     assert "budget must be positive" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--group", "klein4", "--degree", "1"],
+    ["homology", "--group", "z2", "--degree", "1", "--orbits"],
+])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_aut_cap_must_be_positive(argv, cap, capsys):
+    code, out, err = run_cli(capsys, argv + ["--aut-cap", cap])
+    assert code == 2 and out == ""
+    assert err == f"error: aut cap must be positive, got {cap}\n"
+
+
+def test_aut_cap_is_read_only_with_orbits(capsys):
+    code, out, err = run_cli(capsys, ["homology", "--group", "z2",
+                                      "--degree", "1", "--aut-cap", "-5"])
+    assert (code, out, err) == (0, "H_1 = Z/2\n", "")
+
+
 def test_homology_orbits_flag(capsys):
     code, out, _ = run_cli(capsys, ["homology", "--group", "z3",
                                     "--degree", "3", "--orbits"])

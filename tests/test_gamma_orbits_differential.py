@@ -195,21 +195,32 @@ def test_module_that_fails_its_own_check_is_refused_on_the_orbit_route():
 
 def test_orbit_route_keeps_both_budget_checks():
     """``n(n+1)/2·|G|`` before the walk, and ``k·N`` once the ``k`` orbits
-    of the ``N`` basis vectors of Γ(M) are known."""
+    of the ``N`` basis vectors of Γ(M) are known.  Both refusals repeat,
+    with the same message, once an answered call has kept the orbits on
+    the module."""
     groups = standard_library()
     z2 = groups["z2"]
     w = all_characters(z2)[0]
     module = free_module(z2, 1)
-    with pytest.raises(BudgetExceededError, match=r"cost 6 \(3 basis vectors times "
-                                        r"group order 2\) exceeds budget 5"):
+    estimate = (r"cost 6 \(3 basis vectors times group order 2\) exceeds "
+                r"budget 5")
+    with pytest.raises(BudgetExceededError, match=estimate) as cold:
         gamma_coinvariants(module, w, budget=5)
     # Γ of the regular module: 3 basis vectors in 2 orbits, 6 entries.
-    assert gamma_coinvariants(module, w, budget=6).presentation.ngens == 2
+    answer = gamma_coinvariants(module, w, budget=6)
+    assert answer.presentation.ngens == 2
+    assert gamma_coinvariants(module, w, budget=6) is answer
+    with pytest.raises(BudgetExceededError, match=estimate) as warm:
+        gamma_coinvariants(module, w, budget=5)
+    assert str(warm.value) == str(cold.value)
     trivial = groups["trivial"]
     big = sign_module(trivial, all_characters(trivial)[0], 80)
     n = gamma_rank(80)
-    with pytest.raises(BudgetExceededError, match=f"projection of {n} orbits by {n} "
-                                        f"basis vectors"):
+    projection = f"projection of {n} orbits by {n} basis vectors"
+    with pytest.raises(BudgetExceededError, match=projection) as cold:
         gamma_coinvariants(big, all_characters(trivial)[0], budget=n * n - 1)
     assert gamma_coinvariants(big, all_characters(trivial)[0],
                               budget=n * n).presentation.ngens == n
+    with pytest.raises(BudgetExceededError, match=projection) as warm:
+        gamma_coinvariants(big, all_characters(trivial)[0], budget=n * n - 1)
+    assert str(warm.value) == str(cold.value)

@@ -27,7 +27,9 @@ from gammalab.errors import (
 from gammalab.groups import OrientationChar
 from gammalab.homology import group_homology
 from gammalab.resolutions import periodic_resolution
+from gammalab import serialize
 from gammalab.serialize import (
+    LOADED_TEXTS,
     MIN_RESOLUTION_LENGTH,
     bundled_names,
     bundled_path,
@@ -378,3 +380,115 @@ def test_resolve_input_refuses_unknown_and_path_like_names(
     assert str(info.value) == (
         f"'{value}' is neither a readable file nor a bundled group name; "
         f"bundled groups: {', '.join(bundled_names('group'))}")
+
+
+# -- reuse of loaded texts ----------------------------------------------------
+
+
+def module_doc(ngens=2, swap=True):
+    """Z^ngens over Z/2, the generator swapping the first two basis vectors
+    when ``swap`` holds and acting trivially otherwise."""
+    identity = [[int(i == j) for j in range(ngens)] for i in range(ngens)]
+    action = [row[:] for row in identity]
+    if swap:
+        action[0], action[1] = action[1], action[0]
+    return {"ngens": ngens, "relations": [],
+            "action": {"0": identity, "1": action}}
+
+
+def refusal(load):
+    with pytest.raises(ParseError) as info:
+        load()
+    return str(info.value)
+
+
+def test_same_text_gives_the_same_objects(tmp_path):
+    group_path = write_json(tmp_path, "g.json", z2_group_doc())
+    copy_path = write_json(tmp_path, "g_copy.json", z2_group_doc())
+    group, chars = load_group(group_path)
+    again, again_chars = load_group(group_path)
+    assert again is group and again_chars["w"] is chars["w"]
+    assert load_group(copy_path)[0] is group
+    module_path = write_json(tmp_path, "m.json", module_doc())
+    module = load_module(module_path, group)
+    assert load_module(module_path, group) is module
+    assert module.group is group
+
+
+def test_each_load_gets_its_own_characters(tmp_path):
+    path = write_json(tmp_path, "g.json", z2_group_doc())
+    _, chars = load_group(path)
+    del chars["w"]
+    chars["extra"] = chars["trivial"]
+    _, fresh = load_group(path)
+    assert sorted(fresh) == ["trivial", "w"]
+
+
+def test_rewritten_file_is_parsed_again(tmp_path):
+    path = write_json(tmp_path, "g.json", z2_group_doc())
+    z2, _ = load_group(path)
+    write_json(tmp_path, "g.json", {"order": 1, "table": [[0]]})
+    trivial, chars = load_group(path)
+    assert trivial is not z2 and trivial.order == 1
+    assert sorted(chars) == ["trivial"]
+    module_path = write_json(tmp_path, "m.json", module_doc(swap=True))
+    swapped = load_module(module_path, z2)
+    write_json(tmp_path, "m.json", module_doc(swap=False))
+    fixed = load_module(module_path, z2)
+    assert fixed is not swapped and fixed.act(1, [1, 0]) == [1, 0]
+
+
+def test_rewritten_to_malformed_text_is_refused_as_cold(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(z2_group_doc()), encoding="utf-8")
+    load_group(str(path))
+    path.write_text('{"order": 2, "table": [[0, 1]', encoding="utf-8")
+    warm = refusal(lambda: load_group(str(path)))
+    serialize._parsed.cache_clear()
+    assert refusal(lambda: load_group(str(path))) == warm
+    assert "not valid structured text" in warm
+
+
+def test_malformed_file_is_refused_every_time(tmp_path):
+    group, _ = load_group(write_json(tmp_path, "g.json", z2_group_doc()))
+    bad_group = write_json(tmp_path, "bad_g.json", {"table": [[0]]})
+    first = refusal(lambda: load_group(bad_group))
+    assert refusal(lambda: load_group(bad_group)) == first
+    assert first.startswith(bad_group)
+    doc = module_doc()
+    doc["action"].pop("1")
+    bad_module = write_json(tmp_path, "bad_m.json", doc)
+    first = refusal(lambda: load_module(bad_module, group))
+    assert refusal(lambda: load_module(bad_module, group)) == first
+    # The same text at another path is refused under that path.
+    other = write_json(tmp_path, "bad_m2.json", doc)
+    assert refusal(lambda: load_module(other, group)) == first.replace(
+        bad_module, other)
+    # A semantic failure is not kept either.
+    twisted = module_doc()
+    twisted["action"]["1"] = [[0, 1], [1, 1]]
+    path = write_json(tmp_path, "twisted.json", twisted)
+    for _ in range(2):
+        with pytest.raises(IncompatibleInputError,
+                           match="not multiplicative|does not preserve"):
+            load_module(path, group)
+
+
+def test_same_module_text_over_two_groups(tmp_path):
+    first, _ = load_group(write_json(tmp_path, "g.json", z2_group_doc()))
+    second, _ = parse_group(z2_group_doc())
+    path = write_json(tmp_path, "m.json", module_doc())
+    a, b = load_module(path, first), load_module(path, second)
+    assert a is not b
+    assert a.group is first and b.group is second
+
+
+def test_kept_texts_are_bounded(tmp_path):
+    for k in range(LOADED_TEXTS + 6):
+        group, _ = load_group(write_json(
+            tmp_path, f"g{k}.json", {"order": 1, "table": [[0]],
+                                     "labels": [f"e{k}"]}))
+        load_module(write_json(tmp_path, f"m{k}.json", {
+            "ngens": 1, "relations": [[k + 2]], "action": {"0": [[1]]}}),
+            group)
+    assert serialize._parsed.cache_info().currsize <= LOADED_TEXTS

@@ -19,8 +19,7 @@ t)`` and ``(..., y·t, t)`` one is the other modulo kept columns (see
 involutions first.  Automorphisms act on that cokernel, read off the same
 columns in the canonical coordinates of :class:`~gammalab.intmat.Cokernel`.
 Neither builds a kernel basis.  ``homology_with_basis``,
-the kernel-modulo-image route, stays as their independent oracle, and
-presents Tor₁ of twisted coinvariants for ``modules``.
+the kernel-modulo-image route, stays only as their independent oracle.
 """
 
 from __future__ import annotations
@@ -46,7 +45,8 @@ def homology_with_basis(d_out: IntMatrix,
                         d_in: IntMatrix) -> Tuple[AbelianPresentation, IntMatrix]:
     """Present ``ker(d_out) / im(d_in)`` for a composable pair with
     ``d_out . d_in = 0``, with the kernel basis (columns) the presentation
-    generators refer to."""
+    generators refer to.  Only tests call it, as the oracle of homology,
+    orbits and Tor₁; it stays because ``bench/tracing.py`` wraps it."""
     if d_out.cols != d_in.rows:
         raise IncompatibleInputError(
             f"maps of shapes {d_out.shape} and {d_in.shape} do not compose")

@@ -13,7 +13,6 @@ to a subgroup, and the wrong-way transfer map on coinvariants.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -21,9 +20,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .abelian import AbelianHom, AbelianPresentation
 from .errors import BudgetExceededError, IncompatibleInputError
 from .groups import FiniteGroup, OrientationChar, SubgroupData
-from .homology import homology_with_basis
-from .intmat import IntMatrix, SNFSolver, elementary_divisors, preimage_lattice
-from .resolutions import DEFAULT_BUDGET
+from .intmat import IntMatrix, elementary_divisors, kernel_basis
+from .resolutions import DEFAULT_BUDGET, twisted_chain_columns
 
 # ``table[g] = (images, signs)``: element ``g`` sends basis vector ``i`` to
 # ``signs[i]`` times basis vector ``images[i]``.
@@ -437,18 +435,26 @@ def _check_same_group(module: ZPiModule, w: OrientationChar) -> None:
 
 def tor_one(module: ZPiModule, w: OrientationChar,
             budget: Optional[int] = DEFAULT_BUDGET) -> AbelianPresentation:
-    """First derived functor of twisted coinvariants.
+    """First derived functor of twisted coinvariants, ``H_1(G; M ⊗ Z^w)``.
 
-    Resolve one step by a free cover sending ``(k, g)`` to ``g`` acting on
-    the k-th generator it keeps, take the kernel lattice with its inherited
-    action, and compare coinvariants of kernel and cover: the kernel of that
-    comparison map is the answer, because the cover contributes nothing in
-    degree one.  The answer does not depend on the cover, so the cover keeps
-    only the generators :func:`_minimal_cover` picks.
+    The module ``M = Z^n / R`` ends the exact sequence ``0 -> K -> P -> F
+    -> M -> 0`` of modules free over the integers: ``F`` is ``Z^n`` with
+    the action, ``P`` is free over the group ring on the relation rows
+    ``r_j``, sending ``e_{j,h}`` to ``h·r_j``, and ``K`` is that map's
+    kernel.  That complex has homology ``M`` in degree 0 only, and the
+    bar resolution ``C`` is free, so Tor₁ is ``H_1`` of the total complex
+    of ``C ⊗_G (K -> P -> F)^w``.  Its degree-0 term ``C_0 ⊗ F`` is free
+    and ``|G|`` kills ``H_1``, so Tor₁ is the torsion of the cokernel of
+    ``Tot_2 -> Tot_1``: one :func:`~gammalab.intmat.elementary_divisors`
+    of the columns of ``d_2 ⊗ F`` that
+    :func:`~gammalab.resolutions.twisted_chain_columns` keeps, of ``C_1 ⊗
+    P``, and of a basis of ``K`` in ``C_0 ⊗ P``.  A module without
+    relations has ``P = K = 0``.  The module is checked first (a module
+    passes once); unchecked data that is not a module is refused there.
 
     ``budget`` bounds the estimate ``|G|·n·(|G|·n + relation rows)`` for
-    ``n`` underlying generators, since the cover has up to ``|G|·n``
-    columns; it is checked before any work, and ``None`` removes it.
+    ``n`` underlying generators; it is checked before any work, and
+    ``None`` removes it.
     """
     _check_same_group(module, w)
     order, n = module.group.order, module.underlying.ngens
@@ -462,75 +468,34 @@ def tor_one(module: ZPiModule, w: OrientationChar,
             "raise the budget or use a smaller module")
     if module.zpi_free_rank is not None:
         return AbelianPresentation.free(0)
-    return _tor_one_over(module, w, _minimal_cover(module))
-
-
-def _minimal_cover(module: ZPiModule) -> List[int]:
-    """Underlying generators whose orbits, with the relations, span ``Z^n``.
-
-    Generator ``i`` is kept when ``e_i`` lies outside the lattice spanned so
-    far.  That lattice is invariant, so ``e_i`` lies in it exactly when its
-    whole orbit does, and adding the orbit can only enlarge it: the two
-    lattices are equal when their ranks and their products of nonzero
-    elementary divisors agree.
-    """
-    n = module.underlying.ngens
-    # The relation rows are the columns of the transposed matrix.
-    columns = [{j: v for j, v in enumerate(row) if v}
-               for row in module.underlying.relations.data]
-    size = _lattice_size(n, columns)
-    kept: List[int] = []
-    for i in range(n):
-        if size == (n, 1):
-            break
-        orbit = [{r: row[i] for r, row in enumerate(mat.data) if row[i]}
-                 for mat in module.action]
-        grown = _lattice_size(n, columns + orbit)
-        if grown != size:
-            kept.append(i)
-            columns += orbit
-            size = grown
-    return kept
-
-
-def _lattice_size(n: int, columns: List[Dict[int, int]]) -> Tuple[int, int]:
-    """Rank and product of the nonzero elementary divisors of a lattice."""
-    nonzero = [d for d in elementary_divisors(n, columns) if d]
-    return len(nonzero), math.prod(nonzero)
-
-
-def _tor_one_over(module: ZPiModule, w: OrientationChar,
-                  generators: Sequence[int]) -> AbelianPresentation:
-    """:func:`tor_one` from the cover by the given underlying generators,
-    whose orbits with the relations must span the underlying group.
-
-    The cover ``F`` maps onto the module with kernel lattice ``K``, which
-    each generator ``s`` of the group maps into itself by some ``alpha_s``.
-    Tor₁ is the homology at ``K`` of the three-term complex ``twists -> K
-    -> F_G``: the columns ``alpha_s - w(s)·I``, stacked over the generating
-    set, and the projection of ``K`` onto the coinvariants of ``F``.  The
-    projection kills ``(s - w(s))·F``, so the two compose to zero, and the
-    twists of a generating set span all of ``(g - w(g))·K``: the quotient
-    is the kernel of ``K_G -> F_G``.
-    """
+    module._validate()
     group = module.group
-    cover = free_module(group, len(generators))
-    phi = IntMatrix.from_columns(
-        [module.action[g].column(i) for i in generators
-         for g in range(group.order)], rows=module.underlying.ngens)
-    kernel = preimage_lattice(phi, module.underlying.relations.transpose())
-    comparison = twisted_coinvariants(cover, w).projection.matrix.mul(kernel)
-    solver = SNFSolver(kernel)
-    identity = IntMatrix.identity(kernel.cols)
-    twists = IntMatrix(kernel.cols, 0)
-    for s in group.generating_set():
-        alpha = solver.solve_matrix(cover.action[s].mul(kernel))
-        if alpha is None:
-            raise IncompatibleInputError(
-                "kernel lattice is not preserved by the action; the module "
-                "data is inconsistent")
-        twists = twists.hstack(alpha.sub(identity.scale(w(s))))
-    return homology_with_basis(comparison, twists)[0]
+    # Rows of Tot_1: C_1 ⊗ F at tuple·n + b, then C_0 ⊗ P at offset +
+    # j·|G| + h.
+    columns = twisted_chain_columns(group, w, 2, group.bar_generators(),
+                                    module)
+    offset = (order - 1) * n
+    images = [module.act(h, r) for r in module.underlying.relations.data
+              for h in range(order)]
+    # C_1 ⊗ P: (g) ⊗ e_{j,h} goes to w(g)·e_{j,g⁻¹h} - e_{j,h} in C_0 ⊗ P
+    # and to -(g) ⊗ h·r_j in C_1 ⊗ F, the map of P -> F taking the sign
+    # (-1)^p of C_p in the total complex.
+    for g in range(1, order):
+        moved = group.table[group.inv(g)]
+        for p, image in enumerate(images):
+            j, h = divmod(p, order)
+            column = {offset + p: -1, offset + j * order + moved[h]: w(g)}
+            for b in compress(range(n), image):
+                column[(g - 1) * n + b] = -image[b]
+            columns.append(column)
+    # C_0 ⊗ K: a basis of K, included in C_0 ⊗ P; without relations there
+    # is none, and no logged Smith normal form runs.
+    if images:
+        kernel = kernel_basis(IntMatrix.from_columns(images, rows=n))
+        columns += [{offset + p: c for p, c in enumerate(vector) if c}
+                    for vector in kernel.columns()]
+    divisors = elementary_divisors(offset + len(images), columns)
+    return AbelianPresentation.from_factors(0, [d for d in divisors if d > 1])
 
 
 def restrict_module(module: ZPiModule, sub: SubgroupData) -> ZPiModule:

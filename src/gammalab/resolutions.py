@@ -17,11 +17,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .errors import BudgetExceededError, IncompatibleInputError, UnsupportedInputError
 from .groups import FiniteGroup, OrientationChar
 from .intmat import IntMatrix, elementary_divisors, sparse_columns
+
+if TYPE_CHECKING:
+    from .modules import ZPiModule
 
 DEFAULT_BUDGET = 250_000
 
@@ -193,16 +197,24 @@ def chain_resolution(group: FiniteGroup, length: int,
 
 
 def twisted_chain_columns(group: FiniteGroup, w: OrientationChar, k: int,
-                          last: Optional[Sequence[int]] = None
+                          last: Optional[Sequence[int]] = None,
+                          coefficients: Optional[ZPiModule] = None
                           ) -> List[Dict[int, int]]:
-    """The columns of ``chain_resolution(group, k).twisted_matrix(k, w)``
-    as ``{row: value}`` maps, built straight from the tuples: no ring
-    matrix and no budget check; indices in mixed radix ``order - 1``.
+    """The columns of the chain resolution's ``d_k`` tensored down to ``M ⊗
+    Z^w``, as ``{row: value}`` maps, built straight from the tuples: no
+    ring matrix and no budget check.  ``M`` is the ``coefficients``, free
+    on ``n`` underlying generators, or the integers (``n = 1``) when
+    ``None``, which gives the columns of ``chain_resolution(group,
+    k).twisted_matrix(k, w)``.  Column ``(g_1, ..., g_k) ⊗ e_a`` drops its
+    first entry to ``(g_2, ...) ⊗ w(g_1)·g_1⁻¹·e_a`` and keeps ``e_a`` in
+    every other term; row ``tuple·n + b`` is ``tuple ⊗ e_b``, tuples in
+    mixed radix ``order - 1``.
 
     With ``last``, only the columns ``head + (h,)`` with ``h`` in ``last``,
     and of those ending ``(y, t)`` with ``t`` an involution (``t·t = 1``)
     and ``y != t``, only the ones with ``y < y·t``.  If ``last`` generates
-    the group they span the same lattice as all columns.
+    the group they span the same lattice as all columns, whatever ``M``:
+    both rules come from ``d d = 0`` in the resolution.
 
     * Generators: ``d d (head, x, h) = 0`` makes ``col(head, x) =
       ±col(head, x·h)`` modulo columns ending in ``h``, and a walk ``x ->
@@ -226,24 +238,43 @@ def twisted_chain_columns(group: FiniteGroup, w: OrientationChar, k: int,
     after = [list(ends) if last is None else
              [h for h in ends if table[h][h] or y == h or y < table[y][h]]
              for y in range(group.order)]
+    # Per element g and basis vector e_a: a and the entries of w(g)·g⁻¹·e_a.
+    if coefficients is None:
+        n, twist = 1, list(map(_SIGN_LINE.__getitem__, w.values))
+    else:
+        n = coefficients.underlying.ngens
+        units = list(enumerate(IntMatrix.identity(n).data))
+        twist = [[(a, [(b, w(g) * c) for b, c in enumerate(
+            coefficients.act(group.inv(g), unit)) if c]) for a, unit in units]
+            for g in range(group.order)]
     columns = []
     for head_index, head in enumerate(chain_tuples(group, k - 1)):
         for h in after[head[-1] if head else 0]:
             # The terms of _bar_terms on the digits of the column index:
             # drop the first, merge digits i and i + 1, drop the last.
             tup, index = head + (h,), head_index * base + h - 1
-            column = {index % power[k - 1]: w(tup[0])}
-            sign = -1
-            for i in range(k - 1):
-                merged = table[tup[i]][tup[i + 1]]
-                if merged != 0:
-                    _add_coeff(column, index // power[k - i] * power[k - 1 - i]
-                               + (merged - 1) * power[k - 2 - i]
-                               + index % power[k - 2 - i], sign)
-                sign = -sign
-            _add_coeff(column, index // base, sign)
-            columns.append(column)
+            rest = index % power[k - 1] * n
+            for a, first in twist[tup[0]]:
+                column = {}
+                for b, c in first:
+                    column[rest + b] = c
+                sign = -1
+                for i in range(k - 1):
+                    merged = table[tup[i]][tup[i + 1]]
+                    if merged != 0:
+                        _add_coeff(column, (
+                            index // power[k - i] * power[k - 1 - i]
+                            + (merged - 1) * power[k - 2 - i]
+                            + index % power[k - 2 - i]) * n + a, sign)
+                    sign = -sign
+                _add_coeff(column, index // base * n + a, sign)
+                columns.append(column)
     return columns
+
+
+# Z^w's drop-first entries by sign, shared: a table built per element per
+# call of twisted_chain_columns shows in the time of small bar queries.
+_SIGN_LINE = {1: [(0, [(0, 1)])], -1: [(0, [(0, -1)])]}
 
 
 def _add_coeff(entry: Dict[int, int], g: int, c: int) -> None:

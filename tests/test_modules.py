@@ -357,20 +357,22 @@ def test_tor_hand_values():
 
 
 def test_tor_refuses_unchecked_data_that_is_not_a_module():
-    """Built with ``check=False``, an action that does not preserve the
-    kernel of the cover is refused with an input error.  The first case
-    has a trivial comparison kernel, so a route that skips the invariance
-    solve when there is nothing to present would answer 0."""
+    """Built with ``check=False``, an action that is not a module is
+    refused with the module check's input error: the first does not
+    preserve the relation, the second preserves it but squares to the
+    wrong matrix."""
     z2 = cyclic_group(2)
     w = OrientationChar.trivial(z2)
     underlying = AbelianPresentation.from_relation_rows(2, [[2, 0]])
-    for action in ([[0, 1], [1, 1]], [[2, 0], [0, 1]]):
+    for action, message in (
+            ([[0, 1], [1, 1]], r"action of element 1 does not preserve "
+                               r"relation 0"),
+            ([[2, 0], [0, 1]], r"action is not multiplicative at \(1, 1\)")):
         module = module_from_action(
             z2, underlying,
             [IntMatrix.identity(2), IntMatrix.from_rows(action)],
             check=False)
-        with pytest.raises(IncompatibleInputError,
-                           match="kernel lattice is not preserved"):
+        with pytest.raises(IncompatibleInputError, match=message):
             tor_one(module, w)
 
 

@@ -6,6 +6,8 @@ consecutive differentials compose to zero and the underlying integer complex
 is exact, resolving a single copy of the integers in degree zero.
 """
 
+import random
+
 import pytest
 
 from gammalab.builtins import (
@@ -20,6 +22,8 @@ from gammalab.errors import BudgetExceededError, IncompatibleInputError, \
     UnsupportedInputError
 from gammalab.groups import OrientationChar, all_characters
 from gammalab.homology import MAX_DEGREE
+from gammalab.modules import (direct_sum_module, regular_module, sign_module,
+                              trivial_module)
 from gammalab.resolutions import (
     DEFAULT_BUDGET,
     Resolution,
@@ -31,6 +35,8 @@ from gammalab.resolutions import (
     resolution_cost,
     twisted_chain_columns,
 )
+
+from test_modules import in_random_basis
 
 
 def copy_differentials(res):
@@ -142,6 +148,47 @@ def test_twisted_complexes_compose_to_zero():
                             image[r] = image.get(r, 0) + c * v
                     assert not any(image.values()), (name, w.values, k)
                 d_out = d_in
+
+
+def test_sign_line_coefficients_are_the_product_character():
+    """With the sign line ``Z^v`` as coefficients and character ``w``, the
+    columns are the integral ones for ``w·v``, in degrees 1 to 4, all
+    columns and those ending in the bar generators alike."""
+    for name, group in sorted(standard_library().items()):
+        characters = all_characters(group)
+        for w in characters:
+            for v in characters:
+                product = OrientationChar(
+                    group, [a * b for a, b in zip(w.values, v.values)])
+                line = sign_module(group, v)
+                for k in range(1, MAX_DEGREE + 1):
+                    for last in (None, group.bar_generators()):
+                        assert twisted_chain_columns(
+                            group, w, k, last, line) == twisted_chain_columns(
+                                group, product, k, last), \
+                            (name, w.values, v.values, k, last)
+
+
+def test_module_coefficient_columns_form_a_chain_complex():
+    """``d_1 ⊗ M`` after ``d_2 ⊗ M``, and ``d_2 ⊗ M`` after ``d_3 ⊗ M``,
+    are zero for modules whose elements move basis vectors to sums."""
+    rng = random.Random(27)
+    for name, group in sorted(standard_library().items()):
+        modules = [regular_module(group),
+                   in_random_basis(rng, direct_sum_module(
+                       trivial_module(group), regular_module(group)))]
+        for w in all_characters(group):
+            for module in modules:
+                d_out = twisted_chain_columns(group, w, 1, None, module)
+                for k in (2, 3):
+                    d_in = twisted_chain_columns(group, w, k, None, module)
+                    for column in d_in:
+                        image = {}
+                        for i, c in column.items():
+                            for r, v in d_out[i].items():
+                                image[r] = image.get(r, 0) + c * v
+                        assert not any(image.values()), (name, w.values, k)
+                    d_out = d_in
 
 
 def test_underlying_matrix_shapes():

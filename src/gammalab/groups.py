@@ -19,7 +19,14 @@ DEFAULT_AUT_CAP = 12
 
 
 class FiniteGroup:
-    """A finite group given by its full multiplication table."""
+    """A finite group given by its full multiplication table.
+
+    Facts that depend on the group alone are found once and kept on it:
+    its generating sets, and in ``bar_skeletons`` one tuple walk of the
+    bar differential per degree and kept ends, keyed ``(k, ends)``, which
+    :func:`~gammalab.resolutions.bar_skeleton` fills on first use for
+    every character and coefficient module.  They live as long as the
+    group, and a group built again from the same table starts empty."""
 
     def __init__(self, table: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None):
         self.order = len(table)
@@ -34,6 +41,8 @@ class FiniteGroup:
         self.labels = tuple(str(l) for l in labels)
         self._generators: Optional[Tuple[int, ...]] = None
         self._bar_generators: Optional[Tuple[int, ...]] = None
+        self.bar_skeletons: Dict[Tuple[int, Optional[Tuple[int, ...]]],
+                                 list] = {}
         self._validate()
         self.inverse = tuple(self._find_inverse(a) for a in range(self.order))
 
@@ -517,3 +526,40 @@ def automorphisms_preserving(group: FiniteGroup, w: OrientationChar,
     """Automorphisms ``alpha`` with ``w(alpha(g)) = w(g)`` for every ``g``."""
     return [alpha for alpha in automorphisms(group, cap)
             if all(w(alpha[g]) == w(g) for g in range(group.order))]
+
+
+def generators_modulo_inner(group: FiniteGroup,
+                            auts: Sequence[Tuple[int, ...]]
+                            ) -> List[Tuple[int, ...]]:
+    """Each automorphism of ``auts``, in their order, that is not in the
+    group generated by the inner automorphisms and those kept before it.
+    If ``auts`` is a group of automorphisms holding the inner ones, such
+    as the character-preserving ones, the kept ones and the inner ones
+    generate it; the identity is never kept."""
+    table, inverse = group.table, group.inverse
+    elements = range(group.order)
+    gens = {tuple(table[table[g][x]][inverse[g]] for x in elements)
+            for g in elements}
+    closed = _compose_closure(group.order, gens)
+    kept = []
+    for alpha in auts:
+        if alpha not in closed:
+            kept.append(alpha)
+            gens.add(alpha)
+            closed = _compose_closure(group.order, gens)
+    return kept
+
+
+def _compose_closure(order: int, gens: Iterable[Tuple[int, ...]]) -> set:
+    """The group of permutations of ``range(order)`` that ``gens``
+    generates under composition."""
+    closed = {tuple(range(order))}
+    frontier = list(closed)
+    while frontier:
+        alpha = frontier.pop()
+        for gen in gens:
+            beta = tuple(gen[x] for x in alpha)
+            if beta not in closed:
+                closed.add(beta)
+                frontier.append(beta)
+    return closed

@@ -25,13 +25,14 @@ the kernel-modulo-image route, stays only as their independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .abelian import AbelianHom, AbelianPresentation
 from .errors import (BudgetExceededError, IncompatibleInputError,
                      UnsupportedInputError)
 from .groups import (FiniteGroup, OrientationChar, automorphisms_preserving,
-                     is_automorphism, DEFAULT_AUT_CAP)
+                     generators_modulo_inner, is_automorphism,
+                     DEFAULT_AUT_CAP)
 from .intmat import (Cokernel, IntMatrix, SNFSolver, elementary_divisors,
                      kernel_basis, sparse_columns)
 from .resolutions import (DEFAULT_BUDGET, Resolution, chain_resolution_ranks,
@@ -193,22 +194,13 @@ def _check_descends(group: FiniteGroup, w: OrientationChar,
             "does not descend to homology")
 
 
-def induced_homology_maps(group: FiniteGroup, w: OrientationChar, k: int,
-                          provider: str = "auto",
-                          budget: Optional[int] = DEFAULT_BUDGET,
-                          aut_cap: int = DEFAULT_AUT_CAP
-                          ) -> Tuple[AbelianPresentation, List[AbelianHom]]:
-    """The degree-``k`` homology together with the endomorphisms induced by
-    every character-preserving automorphism of the group.
-
-    For ``k >= 1``, ``H_k`` is the torsion of the cokernel of ``d_{k+1}``
-    (see the module docstring), presented by its torsion invariants on
-    canonical coordinates; ``H_0`` is the cokernel of ``d_1`` itself.  One
-    :class:`~gammalab.intmat.Cokernel` of the columns :func:`group_homology`
-    reads gives the invariants, a lift of each coordinate, and the
-    coordinates of its image under each chain map (a relabeling of tuples,
-    or a scalar on the periodic resolution).
-    """
+def _homology_action(group: FiniteGroup, w: OrientationChar, k: int,
+                     provider: str, budget: Optional[int], aut_cap: int
+                     ) -> Tuple[AbelianPresentation, List[Tuple[int, ...]],
+                                Callable[[Sequence[int]], AbelianHom]]:
+    """The homology :func:`induced_homology_maps` presents, the
+    character-preserving automorphisms, and a function that pushes one of
+    them to the endomorphism it induces."""
     coker = Cokernel(*_twisted_differential(group, w, k, provider, budget,
                                             None))
     auts = automorphisms_preserving(group, w, cap=aut_cap)
@@ -219,8 +211,8 @@ def induced_homology_maps(group: FiniteGroup, w: OrientationChar, k: int,
                                                       unit[free:])) if c}
              for unit in IntMatrix.identity(pres.ngens).data]
     periodic = _provider_name(group, provider) == "cyclic"
-    homs = []
-    for alpha in auts:
+
+    def push(alpha: Sequence[int]) -> AbelianHom:
         if periodic:
             scalar = _periodic_self_map(group, w, k, alpha)
             perm = range(coker.nrows)
@@ -233,9 +225,33 @@ def induced_homology_maps(group: FiniteGroup, w: OrientationChar, k: int,
             f, t = coker.coordinates({perm[i]: scalar * c
                                       for i, c in lift.items()})
             columns.append(list(f[:free] + t))
-        homs.append(AbelianHom(pres, pres, IntMatrix.from_columns(
-            columns, rows=pres.ngens)))
-    return pres, homs
+        return AbelianHom(pres, pres, IntMatrix.from_columns(
+            columns, rows=pres.ngens))
+
+    return pres, auts, push
+
+
+def induced_homology_maps(group: FiniteGroup, w: OrientationChar, k: int,
+                          provider: str = "auto",
+                          budget: Optional[int] = DEFAULT_BUDGET,
+                          aut_cap: int = DEFAULT_AUT_CAP
+                          ) -> Tuple[AbelianPresentation, List[AbelianHom]]:
+    """The degree-``k`` homology together with the endomorphisms induced by
+    every character-preserving automorphism of the group, one map per
+    automorphism, in the order of
+    :func:`~gammalab.groups.automorphisms_preserving`.
+
+    For ``k >= 1``, ``H_k`` is the torsion of the cokernel of ``d_{k+1}``
+    (see the module docstring), presented by its torsion invariants on
+    canonical coordinates; ``H_0`` is the cokernel of ``d_1`` itself.  One
+    :class:`~gammalab.intmat.Cokernel` of the columns :func:`group_homology`
+    reads gives the invariants, a lift of each coordinate, and the
+    coordinates of its image under each chain map (a relabeling of tuples,
+    or a scalar on the periodic resolution).
+    """
+    pres, auts, push = _homology_action(group, w, k, provider, budget,
+                                        aut_cap)
+    return pres, [push(alpha) for alpha in auts]
 
 
 @dataclass
@@ -261,15 +277,26 @@ def homology_orbits(group: FiniteGroup, w: OrientationChar, k: int,
                     aut_cap: int = DEFAULT_AUT_CAP) -> OrbitReport:
     """Partition the torsion classes of the degree-``k`` twisted homology
     under negation and induced automorphism action, with orbit sizes and
-    canonical-coordinate representatives."""
-    pres, homs = induced_homology_maps(group, w, k, provider, budget, aut_cap)
+    canonical-coordinate representatives.
+
+    Conjugation by ``g`` acts on ``H_k(G; Z^w)`` as ``w(g) = ±1`` (Brown,
+    *Cohomology of Groups*, II.6), and negation is already in the walk, so
+    only the automorphisms :func:`~gammalab.groups.generators_modulo_inner`
+    keeps are pushed: with the inner ones they generate every
+    character-preserving automorphism, and the orbits are the same.
+    ``automorphism_count`` still counts all of them, and the enumeration
+    cost charged against ``budget`` is the torsion order times ``1 + 2 x``
+    that count."""
+    pres, auts, push = _homology_action(group, w, k, provider, budget,
+                                        aut_cap)
     order = pres.torsion_order()
-    cost = order * (1 + 2 * len(homs))
+    cost = order * (1 + 2 * len(auts))
     if budget is not None and cost > budget:
         raise BudgetExceededError(
             f"orbit enumeration cost {cost} exceeds budget {budget} (torsion "
-            f"order {order} times 1 + 2 x {len(homs)} character-preserving "
+            f"order {order} times 1 + 2 x {len(auts)} character-preserving "
             f"automorphisms); raise the budget")
+    homs = [push(alpha) for alpha in generators_modulo_inner(group, auts)]
     free_rank = pres.rank
     zeros_free = [0] * free_rank
     vec_of = {}
@@ -301,4 +328,4 @@ def homology_orbits(group: FiniteGroup, w: OrientationChar, k: int,
         rep = min(orbit)
         orbits.append((rep, len(orbit)))
     orbits.sort(key=lambda item: item[0])
-    return OrbitReport(pres, free_rank, len(homs), len(orbits), orbits)
+    return OrbitReport(pres, free_rank, len(auts), len(orbits), orbits)

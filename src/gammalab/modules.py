@@ -462,10 +462,10 @@ def tor_one(module: ZPiModule, w: OrientationChar,
     cost = cols * (cols + rows)
     if budget is not None and cost > budget:
         raise BudgetExceededError(
-            f"first derived functor cost {cost} ({cols} cover columns, "
-            f"group order {order} times {n} generators, times {cols} "
-            f"columns plus {rows} relation rows) exceeds budget {budget}; "
-            "raise the budget or use a smaller module")
+            f"first derived functor cost {cost} ({cols} = group order "
+            f"{order} times {n} generators, times {cols} plus {rows} "
+            f"relation rows) exceeds budget {budget}; raise the budget or "
+            "use a smaller module")
     if module.zpi_free_rank is not None:
         return AbelianPresentation.free(0)
     module._validate()

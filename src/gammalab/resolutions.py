@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, IncompatibleInputError, UnsupportedInputError
 from .groups import FiniteGroup, OrientationChar
@@ -32,6 +31,10 @@ DEFAULT_BUDGET = 250_000
 # A differential is a matrix of group ring elements, stored as nested lists:
 # entry[i][j] is a coefficient tuple of length ``group.order``.
 RingMatrix = List[List[Tuple[int, ...]]]
+
+# A column of a bar differential with no character and no coefficients:
+# ``(rest, g_1, faces, replay)``, as :func:`bar_skeleton` describes.
+SkeletonColumn = Tuple[int, int, Tuple[Tuple[int, int], ...], bool]
 
 
 @dataclass
@@ -146,21 +149,62 @@ def chain_tuples(group: FiniteGroup, k: int) -> List[Tuple[int, ...]]:
     return list(itertools.product(range(1, group.order), repeat=k))
 
 
-def _bar_terms(group: FiniteGroup, tup: Tuple[int, ...]
-               ) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
-    """The boundary of the generator ``tup`` as ``(row tuple, group
-    element, coefficient)`` terms: drop the first entry (with its
-    translation recorded as a ring coefficient), merge adjacent entries with
-    alternating signs, and drop the last entry.  Merged tuples containing
-    the identity die."""
-    yield tup[1:], tup[0], 1
-    sign = -1
-    for i in range(len(tup) - 1):
-        merged = group.table[tup[i]][tup[i + 1]]
-        if merged != 0:
-            yield tup[:i] + (merged,) + tup[i + 2:], 0, sign
-        sign = -sign
-    yield tup[:-1], 0, sign
+def bar_skeleton(group: FiniteGroup, k: int,
+                 last: Optional[Sequence[int]] = None) -> List[SkeletonColumn]:
+    """The columns of the chain resolution's ``d_k`` that
+    :func:`twisted_chain_columns` keeps for ``last``, free of character
+    and coefficients, from one tuple walk per group, degree and ``last``:
+    the walk is kept in ``group.bar_skeletons`` for the life of the group.
+    Each column ``(g_1, ..., g_k)`` is ``(rest, g_1, faces, replay)``:
+    ``rest`` indexes ``(g_2, ..., g_k)``, the drop-first face, which is
+    translated by ``g_1``; ``faces`` are the other faces as ``(row,
+    sign)`` pairs (merge entries ``i`` and ``i + 1`` with sign ``(-1)^(i +
+    1)``, drop the last entry with sign ``(-1)^k``; merged tuples holding
+    the identity die).  They are summed in walk order, unless a face lands
+    on ``rest``: then ``replay`` is true and ``faces`` holds every term in
+    walk order, for the tensor step to add onto the drop-first entry."""
+    key = (k, None if last is None else tuple(last))
+    skeleton = group.bar_skeletons.get(key)
+    if skeleton is None:
+        skeleton = group.bar_skeletons[key] = _walk_tuples(group, k, last)
+    return skeleton
+
+
+def _walk_tuples(group: FiniteGroup, k: int,
+                 last: Optional[Sequence[int]]) -> List[SkeletonColumn]:
+    """The walk behind :func:`bar_skeleton`, on the digits of the column
+    index: tuples in mixed radix ``order - 1``, last entry fastest."""
+    base, table = group.order - 1, group.table
+    power = [base ** p for p in range(k + 1)]
+    ends = range(1, group.order) if last is None else last
+    # The ends kept after each second-to-last entry y; y = 0 for k = 1,
+    # where 0 < h keeps them all.
+    after = [list(ends) if last is None else
+             [h for h in ends if table[h][h] or y == h or y < table[y][h]]
+             for y in range(group.order)]
+    skeleton = []
+    for head_index, head in enumerate(chain_tuples(group, k - 1)):
+        for h in after[head[-1] if head else 0]:
+            tup, index = head + (h,), head_index * base + h - 1
+            rest = index % power[k - 1]
+            terms = []
+            sign = -1
+            for i in range(k - 1):
+                merged = table[tup[i]][tup[i + 1]]
+                if merged != 0:
+                    terms.append((index // power[k - i] * power[k - 1 - i]
+                                  + (merged - 1) * power[k - 2 - i]
+                                  + index % power[k - 2 - i], sign))
+                sign = -sign
+            terms.append((index // base, sign))
+            replay = any(row == rest for row, _ in terms)
+            if not replay:
+                faces: Dict[int, int] = {}
+                for row, c in terms:
+                    _add_coeff(faces, row, c)
+                terms = list(faces.items())
+            skeleton.append((rest, tup[0], tuple(terms), replay))
+    return skeleton
 
 
 def chain_resolution(group: FiniteGroup, length: int,
@@ -168,21 +212,23 @@ def chain_resolution(group: FiniteGroup, length: int,
     """The normalized inhomogeneous chain resolution.
 
     Degree ``k`` is free on ``k``-tuples of nonidentity elements (see
-    :func:`chain_tuples`); the differential is given by :func:`_bar_terms`.
+    :func:`chain_tuples`); the differential is read off
+    :func:`bar_skeleton` with every column kept: the drop-first face
+    carries ``g_1`` as its ring coefficient, every other face the
+    identity.
     """
     order = group.order
     ranks = chain_resolution_ranks(order, length)
     check_budget(order, ranks, budget)
-    tuples_by_degree = [chain_tuples(group, k) for k in range(length + 1)]
     differentials = []
     for k in range(1, length + 1):
-        row_index = {t: i for i, t in enumerate(tuples_by_degree[k - 1])}
         entries: List[List[Dict[int, int]]] = [
             [dict() for _ in range(ranks[k])] for _ in range(ranks[k - 1])
         ]
-        for col, tup in enumerate(tuples_by_degree[k]):
-            for row, g, c in _bar_terms(group, tup):
-                _add_coeff(entries[row_index[row]][col], g, c)
+        for col, (rest, g, faces, _) in enumerate(bar_skeleton(group, k)):
+            entries[rest][col][g] = 1
+            for row, c in faces:
+                _add_coeff(entries[row][col], 0, c)
         ring: RingMatrix = []
         for row_entries in entries:
             ring_row = []
@@ -201,14 +247,17 @@ def twisted_chain_columns(group: FiniteGroup, w: OrientationChar, k: int,
                           coefficients: Optional[ZPiModule] = None
                           ) -> List[Dict[int, int]]:
     """The columns of the chain resolution's ``d_k`` tensored down to ``M ⊗
-    Z^w``, as ``{row: value}`` maps, built straight from the tuples: no
-    ring matrix and no budget check.  ``M`` is the ``coefficients``, free
-    on ``n`` underlying generators, or the integers (``n = 1``) when
-    ``None``, which gives the columns of ``chain_resolution(group,
-    k).twisted_matrix(k, w)``.  Column ``(g_1, ..., g_k) ⊗ e_a`` drops its
-    first entry to ``(g_2, ...) ⊗ w(g_1)·g_1⁻¹·e_a`` and keeps ``e_a`` in
-    every other term; row ``tuple·n + b`` is ``tuple ⊗ e_b``, tuples in
-    mixed radix ``order - 1``.
+    Z^w``, as ``{row: value}`` maps, built from the group's kept
+    :func:`bar_skeleton`: no ring matrix and no budget check.  ``M`` is the
+    ``coefficients``, free on ``n`` underlying generators, or the integers
+    (``n = 1``) when ``None``, which gives the columns of
+    ``chain_resolution(group, k).twisted_matrix(k, w)``.  Column ``(g_1,
+    ..., g_k) ⊗ e_a`` drops its first entry to ``(g_2, ...) ⊗
+    w(g_1)·g_1⁻¹·e_a`` and keeps ``e_a`` in every other term; row
+    ``tuple·n + b`` is ``tuple ⊗ e_b``, tuples in mixed radix ``order -
+    1``.  Each column's drop-first entries come first, then its other
+    faces in walk order, so the columns and their insertion order do not
+    depend on whether the skeleton was kept.
 
     With ``last``, only the columns ``head + (h,)`` with ``h`` in ``last``,
     and of those ending ``(y, t)`` with ``t`` an involution (``t·t = 1``)
@@ -230,17 +279,10 @@ def twisted_chain_columns(group: FiniteGroup, w: OrientationChar, k: int,
       ``(t, t)``: each dropped column is an integer combination of kept
       ones, and nothing is circular.  For ``k = 1`` there is no ``y`` and
       nothing is dropped."""
-    base, table = group.order - 1, group.table
-    power = [base ** p for p in range(k + 1)]
-    ends = range(1, group.order) if last is None else last
-    # The ends kept after each second-to-last entry y; y = 0 for k = 1,
-    # where 0 < h keeps them all.
-    after = [list(ends) if last is None else
-             [h for h in ends if table[h][h] or y == h or y < table[y][h]]
-             for y in range(group.order)]
+    skeleton = bar_skeleton(group, k, last)
     # Per element g and basis vector e_a: a and the entries of w(g)·g⁻¹·e_a.
     if coefficients is None:
-        n, twist = 1, list(map(_SIGN_LINE.__getitem__, w.values))
+        n, twist = 1, [((0, ((0, v),)),) for v in w.values]
     else:
         n = coefficients.underlying.ngens
         units = list(enumerate(IntMatrix.identity(n).data))
@@ -248,33 +290,20 @@ def twisted_chain_columns(group: FiniteGroup, w: OrientationChar, k: int,
             coefficients.act(group.inv(g), unit)) if c]) for a, unit in units]
             for g in range(group.order)]
     columns = []
-    for head_index, head in enumerate(chain_tuples(group, k - 1)):
-        for h in after[head[-1] if head else 0]:
-            # The terms of _bar_terms on the digits of the column index:
-            # drop the first, merge digits i and i + 1, drop the last.
-            tup, index = head + (h,), head_index * base + h - 1
-            rest = index % power[k - 1] * n
-            for a, first in twist[tup[0]]:
-                column = {}
-                for b, c in first:
-                    column[rest + b] = c
-                sign = -1
-                for i in range(k - 1):
-                    merged = table[tup[i]][tup[i + 1]]
-                    if merged != 0:
-                        _add_coeff(column, (
-                            index // power[k - i] * power[k - 1 - i]
-                            + (merged - 1) * power[k - 2 - i]
-                            + index % power[k - 2 - i]) * n + a, sign)
-                    sign = -sign
-                _add_coeff(column, index // base * n + a, sign)
-                columns.append(column)
+    for rest, g, faces, replay in skeleton:
+        for a, first in twist[g]:
+            column = {}
+            for b, c in first:
+                column[rest * n + b] = c
+            if replay:
+                for row, c in faces:
+                    _add_coeff(column, row * n + a, c)
+            else:
+                # For n = 1 the face rows are the skeleton's own.
+                column.update(faces if n == 1 else
+                              [(row * n + a, c) for row, c in faces])
+            columns.append(column)
     return columns
-
-
-# Z^w's drop-first entries by sign, shared: a table built per element per
-# call of twisted_chain_columns shows in the time of small bar queries.
-_SIGN_LINE = {1: [(0, [(0, 1)])], -1: [(0, [(0, -1)])]}
 
 
 def _add_coeff(entry: Dict[int, int], g: int, c: int) -> None:

@@ -138,13 +138,14 @@ def test_tor1_of_split_module(capsys):
 
 
 def test_tor1_follows_the_budget_environment_variable(capsys, monkeypatch):
-    # Group order 2 and 2 generators: 4 cover columns times 4 columns.
+    # Group order 2 and 2 generators: 4 times 4 plus no relation rows.
     argv = ["tor1", "--group", "z2", "--character", "w",
             "--module", "z2_z_plus_ztwist"]
     monkeypatch.setenv("GAMMALAB_BUDGET", "15")
     code, out, err = run_cli(capsys, argv)
     assert code == 1 and out == ""
-    assert "first derived functor cost 16 (4 cover columns" in err
+    assert ("first derived functor cost 16 (4 = group order 2 times 2 "
+            "generators, times 4 plus 0 relation rows)") in err
     assert "exceeds budget 15" in err and "Traceback" not in err
     monkeypatch.setenv("GAMMALAB_BUDGET", "16")
     assert run_cli(capsys, argv)[:2] == (0, "tor1 = Z/2\n")

@@ -376,7 +376,7 @@ def test_tor_refuses_unchecked_data_that_is_not_a_module():
             tor_one(module, w)
 
 
-def test_tor_budget_is_the_cover_estimate():
+def test_tor_budget_is_order_times_generators_estimate():
     """The estimate is |G| n (|G| n + relation rows): accepted at the cost,
     refused one below it, before any work, with the sizes in the message."""
     z2, z3 = cyclic_group(2), cyclic_group(3)
@@ -395,9 +395,8 @@ def test_tor_budget_is_the_cover_estimate():
         with pytest.raises(BudgetExceededError) as info:
             tor_one(module, w, budget=cost - 1)
         order, n = module.group.order, module.underlying.ngens
-        assert (f"first derived functor cost {cost} ({order * n} cover "
-                f"columns, group order {order} times {n} generators, times "
-                f"{order * n} columns plus "
+        assert (f"first derived functor cost {cost} ({order * n} = group "
+                f"order {order} times {n} generators, times {order * n} plus "
                 f"{module.underlying.relations.rows} relation rows) exceeds "
                 f"budget {cost - 1}") in str(info.value)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .abelian import AbelianPresentation
@@ -127,13 +128,22 @@ class HermitianForm:
 def check_hermitian(form: HermitianForm) -> bool:
     """Whether ``entry(i, j) == bar(entry(j, i))`` for all ``i`` and ``j``.
 
-    Only this exact, entrywise test reads the input.  The law ``value(h1 a,
-    h2 b) = h1 * value(a, b) * bar(h2)`` holds for every matrix over a
-    validated group and character, so the test suite covers it instead.
+    The involution sends the coefficient ``b[g]`` at ``g`` to ``w(g)·b[g]``
+    at ``g^-1``, so the test compares coefficient tuples, ``a[g^-1] ==
+    w(g)·b[g]`` for ``a = entry(i, j)`` and ``b = entry(j, i)``.  The
+    involution squares to the identity, so the pairs with ``i <= j``
+    decide it.  Only this exact, entrywise test reads the input.
+    The law ``value(h1 a, h2 b) = h1 * value(a, b) * bar(h2)`` holds for
+    every matrix over a validated group and character, so the test suite
+    covers it instead.
     """
-    group, w = form.group, form.w
-    return all(form.matrix[i][j] == bar_involution(group, w, form.matrix[j][i])
-               for i in range(form.rank) for j in range(form.rank))
+    inverse, signs, matrix = form.group.inverse, form.w.values, form.matrix
+    for i in range(form.rank):
+        for j in range(i, form.rank):
+            a, b = matrix[i][j].coeffs, matrix[j][i].coeffs
+            if list(map(a.__getitem__, inverse)) != list(map(mul, signs, b)):
+                return False
+    return True
 
 
 def hermitian_closure(group: FiniteGroup, w: OrientationChar,
@@ -245,21 +255,40 @@ def _symmetric_value(form: HermitianForm) -> List[int]:
     upper triangle row by row.  The entry at ``((i, g), (j, h))`` is
     ``w(h)`` times the coefficient of ``g^-1 h`` in ``matrix[i][j]``; the
     matrix is symmetric because the form is hermitian, so no check of that
-    is repeated here."""
-    group, signs = form.group, form.w.values
-    order, rank = group.order, form.rank
-    # On the diagonal, g^-1 g is the identity, element 0.
-    out = [signs[g] * form.matrix[i][i].coeffs[0]
-           for i in range(rank) for g in range(order)]
+    is repeated here.  Where each entry is read depends on the group and
+    the rank alone, so it is kept on the group (see
+    :func:`_symmetric_gather`)."""
+    group, rank = form.group, form.rank
+    kept = group.symmetric_gathers
+    if rank not in kept:
+        kept[rank] = _symmetric_gather(group, rank)
+    positions, columns = kept[rank]
+    flat = [c for row in form.matrix for entry in row for c in entry.coeffs]
+    return list(map(mul, map(form.w.values.__getitem__, columns),
+                    map(flat.__getitem__, positions)))
+
+
+def _symmetric_gather(group: FiniteGroup,
+                      rank: int) -> Tuple[List[int], List[int]]:
+    """For each coordinate of :func:`_symmetric_value`, in its order, the
+    position of the coefficient it reads in the form's entries laid end to
+    end (entry ``(i, j)`` from ``(i·rank + j)·|G|``), and the column
+    element ``h`` whose sign it takes."""
+    order = group.order
     rows = [group.table[group.inverse[g]] for g in range(order)]
+    # On the diagonal, g^-1 g is the identity, element 0.
+    positions = [(i * rank + i) * order for i in range(rank)
+                 for g in range(order)]
+    columns = list(range(order)) * rank
     for i in range(rank):
         for g in range(order):
             row = rows[g]
             for j in range(i, rank):
-                coeffs = form.matrix[i][j].coeffs
-                out += [signs[h] * coeffs[row[h]]
-                        for h in range(g + 1 if j == i else 0, order)]
-    return out
+                start = (i * rank + j) * order
+                for h in range(g + 1 if j == i else 0, order):
+                    positions.append(start + row[h])
+                    columns.append(h)
+    return positions, columns
 
 
 def _check_form_module_pair(group: FiniteGroup, w: OrientationChar,

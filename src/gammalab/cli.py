@@ -43,6 +43,11 @@ BUDGET_ENV = "GAMMALAB_BUDGET"
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers():
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="gammalab",
         description="Exact computations with quadratic functor values, "
@@ -137,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the built-in known-value suite")
     p_verify.set_defaults(func=cmd_verify_paper)
 
-    return parser
+    return parser, sub.choices
 
 
 def _resolve_budget(args) -> int:
@@ -215,12 +220,12 @@ def _structured(value, level: int = 0) -> str:
         if not value:
             return "[]"
         inner = ",\n" + "  " * (level + 1)
-        if all(type(x) is int for x in value):
+        if set(map(type, value)) == {int}:
             body = inner.join(map(str, value))
         else:
             body = inner.join([_structured(x, level + 1) for x in value])
         return "[" + inner[1:] + body + outer + "]"
-    if kind is dict and all(type(k) is str for k in value):
+    if kind is dict and set(map(type, value)) <= {str}:
         if not value:
             return "{}"
         inner = ",\n" + "  " * (level + 1)
@@ -460,14 +465,36 @@ def cmd_verify_paper(args) -> int:
 
 
 @functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """:func:`build_parser` once per process; parsing leaves it unchanged."""
-    return build_parser()
+def _shared_parsers():
+    """:func:`_build_parsers` once per process; parsing leaves them
+    unchanged."""
+    return _build_parsers()
+
+
+def _parse(argv: Optional[List[str]]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with argv that starts with a
+    subcommand read by that subcommand's parser alone.
+
+    The top-level parser would hand such argv to the same parser, so help
+    and error texts are unchanged: what that parser leaves over is refused
+    by the top-level parser, as there.  Any other argv (empty, an option
+    first, an unknown command) goes through the top-level parser."""
+    parser, commands = _shared_parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help; pass through.
         return int(exc.code or 0)

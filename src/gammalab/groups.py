@@ -22,11 +22,14 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     Facts that depend on the group alone are found once and kept on it:
-    its generating sets, and in ``bar_skeletons`` one tuple walk of the
-    bar differential per degree and kept ends, keyed ``(k, ends)``, which
+    its generating sets; in ``bar_skeletons`` one tuple walk of the bar
+    differential per degree and kept ends, keyed ``(k, ends)``, which
     :func:`~gammalab.resolutions.bar_skeleton` fills on first use for
-    every character and coefficient module.  They live as long as the
-    group, and a group built again from the same table starts empty."""
+    every character and coefficient module; and in ``symmetric_gathers``,
+    keyed by rank, where a form's symmetric matrix reads its entries,
+    which :func:`~gammalab.classify._symmetric_value` fills for every
+    character.  They live as long as the group, and a group built again
+    from the same table starts empty."""
 
     def __init__(self, table: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None):
         self.order = len(table)
@@ -43,6 +46,7 @@ class FiniteGroup:
         self._bar_generators: Optional[Tuple[int, ...]] = None
         self.bar_skeletons: Dict[Tuple[int, Optional[Tuple[int, ...]]],
                                  list] = {}
+        self.symmetric_gathers: Dict[int, Tuple[list, list]] = {}
         self._validate()
         self.inverse = tuple(self._find_inverse(a) for a in range(self.order))
 
@@ -311,7 +315,7 @@ class GroupRingElement:
                 f"coefficient vector of length {len(coeffs)} for a group of "
                 f"order {group.order}")
         self.group = group
-        self.coeffs = tuple(int(c) for c in coeffs)
+        self.coeffs = tuple(map(int, coeffs))
 
     @classmethod
     def zero(cls, group: FiniteGroup) -> "GroupRingElement":

@@ -62,24 +62,23 @@ def xgcd(a: int, b: int) -> tuple:
     return a, x0, y0
 
 
-def gcd_list(values: Sequence[int]) -> int:
-    g = 0
-    for v in values:
-        g, _, _ = xgcd(g, v)
-        if g == 1:
-            return 1
-    return g
-
-
 def bezout_combination(values: Sequence[int]) -> tuple:
-    """Return ``(g, coeffs)`` with ``g = sum(c * v) >= 0`` over the values."""
+    """Return ``(g, coeffs)`` with ``g = sum(c * v) >= 0`` over the values.
+
+    The running gcd takes one ``xgcd`` step per value, ``g_k = x_k·g_{k-1}
+    + y_k·v_k``, so the coefficient of ``v_i`` is ``y_i`` times the product
+    of the later ``x_k``: one pass forward, then one pass back."""
     g = 0
-    coeffs: List[int] = []
+    steps = []
     for v in values:
-        g2, x, y = xgcd(g, v)
-        coeffs = [c * x for c in coeffs]
-        coeffs.append(y)
-        g = g2
+        g, x, y = xgcd(g, v)
+        steps.append((x, y))
+    coeffs = []
+    later = 1
+    for x, y in reversed(steps):
+        coeffs.append(y * later)
+        later *= x
+    coeffs.reverse()
     return g, coeffs
 
 

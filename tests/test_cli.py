@@ -8,6 +8,7 @@ two classes and has no splitting functional, while the hyperbolic form with
 the plain character counts one primitive class with functional [0, 0, 1].
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -534,3 +535,92 @@ def test_defaults_do_not_leak_between_calls(capsys):
                                     "--format", "structured"])
     assert code == 0
     assert json.loads(out)["involution_rank"] == 0
+
+
+# -- argv read by the subcommand's own parser ---------------------------------
+
+
+def reference_main(argv):
+    """``build_parser().parse_args`` on a fresh parser, then ``args.func``:
+    the reference for how :func:`cli.main` reads argv."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    return args.func(args)
+
+
+def dispatch_cases(presentation):
+    """``argv`` lists: the ones the top-level parser reads, then, for each
+    subcommand, usage errors and the spellings argparse accepts."""
+    valid = {
+        "gamma": [presentation],
+        "coinvariants": ["--group", "z2", "--module", "z2_regular"],
+        "tor1": ["--group", "z2", "--module", "z2_regular"],
+        "homology": ["--group", "z2", "--degree", "1"],
+        "census": CENSUS_Z2[1:],
+        "orbit": ["--group", "z2", "--degree", "2"],
+        "verify-paper": [],
+    }
+    yield []
+    yield ["-h"]
+    yield ["--help"]
+    yield ["no-such-command"]
+    yield ["censu", "--group", "z2"]
+    yield ["--format", "table", "census"] + CENSUS_Z2[1:]
+    yield ["--", "census"] + CENSUS_Z2[1:]
+    for command, base in valid.items():
+        yield [command] + base
+        yield [command, "-h"]
+        yield [command] + base + ["--help"]
+        # A missing required option (or, for verify-paper, nothing missing).
+        yield [command] + base[2:]
+        yield [command] + base + ["--no-such-option"]
+        yield [command] + base + ["--no-such-option=1", "extra"]
+        yield [command] + base + ["extra"]
+        yield [command] + base + ["--format", "xml"]
+        yield [command] + base + ["--format=structured"]
+        yield [command] + base + ["--forma", "structured"]
+        yield [command, "--"] + base
+        yield [command] + base + ["--"]
+        yield [command] + base + ["--", "extra"]
+        if "--group" in base:
+            at = base.index("--group")
+            yield [command] + base[:at] + ["--grou"] + base[at + 1:]
+            yield [command] + base[:at] + ["--grou=z2"] + base[at + 2:]
+        if "--degree" in base:
+            yield [command] + base + ["--degree", "x"]
+            yield [command] + base + ["--resolution", "nope"]
+
+
+def test_subcommand_parser_matches_the_top_level_parser(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    presentation = write_json(tmp_path, "pres.json",
+                              {"ngens": 2, "relations": [[2, 0]]})
+    seen = set()
+    for argv in dispatch_cases(presentation):
+        expected = (reference_main(argv),) + tuple(capsys.readouterr())
+        assert run_cli(capsys, argv) == expected, argv
+        seen.add(expected[0])
+        if "unrecognized arguments" in expected[2]:
+            assert expected[2].startswith("usage: gammalab [-h]"), argv
+            seen.add("unrecognized")
+    assert seen == {0, 2, "unrecognized"}
+
+
+def test_a_subcommand_first_skips_the_top_level_parser(capsys, monkeypatch):
+    parser, _ = cli._shared_parsers()
+    calls = []
+
+    def counted(argv=None, namespace=None):
+        calls.append(argv)
+        return argparse.ArgumentParser.parse_args(parser, argv, namespace)
+
+    monkeypatch.setattr(parser, "parse_args", counted)
+    assert run_cli(capsys, CENSUS_Z2)[0] == 0
+    assert run_cli(capsys, CENSUS_Z2 + ["--nope"])[0] == 2
+    assert calls == []
+    assert run_cli(capsys, ["--help"])[0] == 0
+    assert run_cli(capsys, ["nope"])[0] == 2
+    assert calls == [["--help"], ["nope"]]

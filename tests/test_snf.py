@@ -6,6 +6,7 @@ tolerance.  Hand-checkable matrices pin the expected diagonals.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -15,7 +16,6 @@ from gammalab.intmat import (
     SNFSolver,
     bezout_combination,
     det,
-    gcd_list,
     integer_inverse,
     kernel_basis,
     lattice_basis,
@@ -78,14 +78,44 @@ def test_xgcd_random_bezout_identity():
 
 def test_gcd_list_and_bezout_combination():
     rng = random.Random(12)
-    assert gcd_list([]) == 0
-    assert gcd_list([0, 0]) == 0
-    assert gcd_list([6, 10, 15]) == 1
+    assert bezout_combination([]) == (0, [])
+    assert bezout_combination([0, 0])[0] == 0
+    assert bezout_combination([6, 10, 15])[0] == 1
     for _ in range(300):
         values = [rng.randint(-40, 40) for _ in range(rng.randint(1, 6))]
         g, coeffs = bezout_combination(values)
-        assert g == gcd_list(values)
+        assert g == math.gcd(*values)
         assert sum(c * v for c, v in zip(coeffs, values)) == g
+
+
+def quadratic_bezout_combination(values):
+    """The earlier body of ``bezout_combination``, which rebuilds the
+    coefficient list for every value: the oracle for its output."""
+    g = 0
+    coeffs = []
+    for v in values:
+        g2, x, y = xgcd(g, v)
+        coeffs = [c * x for c in coeffs]
+        coeffs.append(y)
+        g = g2
+    return g, coeffs
+
+
+def test_bezout_combination_matches_the_quadratic_body():
+    """The coefficients, not only the gcd, are the old ones: ``census``
+    prints them as the splitting functional."""
+    rng = random.Random(2906)
+    for length in range(41):
+        for _ in range(15):
+            values = [rng.choice((0, 0, rng.randint(-60, 60),
+                                  rng.randint(-10 ** 6, 10 ** 6)))
+                      for _ in range(length)]
+            assert bezout_combination(values) == \
+                quadratic_bezout_combination(values), values
+    for values in ([1, 0, 5], [0, 0, 1, 7], [-1], [0, -3, 0, 6, 1, 4],
+                   [2, 3, 4, 5, 6]):
+        assert bezout_combination(values) == \
+            quadratic_bezout_combination(values), values
 
 
 # -- determinants -----------------------------------------------------------

@@ -23,11 +23,10 @@ from .gamma import (QuadraticValue, basis_labels, expand_square, gamma_rank,
                     induced_hom, induced_matrix, pair_index, polarization,
                     quadratic_module, quadratic_value, split_indices,
                     symmetric_matrix_of_value, value_of_symmetric_matrix)
-from .groups import (DEFAULT_AUT_CAP, FiniteGroup, GroupRingElement,
-                     OrientationChar, SubgroupData, all_characters,
-                     automorphisms, automorphisms_preserving, bar_involution,
-                     build_group, central_involutions, norm_element,
-                     subgroup_and_cosets)
+from .groups import (FiniteGroup, GroupRingElement, OrientationChar,
+                     SubgroupData, all_characters, automorphisms,
+                     automorphisms_preserving, bar_involution, build_group,
+                     central_involutions, norm_element, subgroup_and_cosets)
 from .homology import (MAX_DEGREE, OrbitReport, group_homology,
                        homology_orbits, induced_homology_maps)
 from .intmat import IntMatrix, SNFResult, SNFSolver, smith_normal_form

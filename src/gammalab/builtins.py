@@ -98,7 +98,9 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 
 
 def standard_library() -> Dict[str, FiniteGroup]:
-    """Name -> group for every built-in, used by the command line interface."""
+    """Name -> group for every built-in, under the names of the bundled
+    group files.  The command line reads those files instead, through
+    :func:`~gammalab.serialize.resolve_input`."""
     return {
         "trivial": trivial_group(),
         "z2": cyclic_group(2),

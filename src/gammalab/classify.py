@@ -25,8 +25,7 @@ from .homology import group_homology
 from .intmat import IntMatrix, det
 from .modules import (CoinvariantsResult, ZPiModule, _check_same_group,
                       _coinvariants_by_orbits, check_coinvariants_budget,
-                      check_projection_budget, free_module,
-                      twisted_coinvariants)
+                      free_module, twisted_coinvariants)
 from .resolutions import DEFAULT_BUDGET, Resolution
 
 __all__ = [
@@ -334,8 +333,8 @@ def gamma_coinvariants(pi2: ZPiModule, w: OrientationChar,
     other module goes through :func:`~gammalab.gamma.quadratic_module`,
     which refuses relations.  The budget applies as in
     :func:`~gammalab.modules.twisted_coinvariants` on the value.  The
-    orbit-route answer is kept on ``pi2`` per character, and both budget
-    checks still run on every call, the ``k·N`` one on the kept orbits."""
+    orbit-route answer is kept on ``pi2`` per character, and the budget
+    check still runs on every call."""
     n = pi2.underlying.ngens
     signed = pi2.table is not None
     check_coinvariants_budget(pi2.group, gamma_rank(n), 0, signed, budget)
@@ -346,7 +345,6 @@ def gamma_coinvariants(pi2: ZPiModule, w: OrientationChar,
     kept = pi2._gamma_coinvariants
     result = kept.get(w.values) or _coinvariants_by_orbits(
         AbelianPresentation.free(gamma_rank(n)), w, pair_images(pi2.table, n))
-    check_projection_budget(result, budget)
     kept[w.values] = result
     return result
 

@@ -29,7 +29,6 @@ from .errors import (GammaLabError, GroupValidationError,
                      IncompatibleInputError, ParseError, UnsupportedInputError)
 from .gamma import basis_labels, quadratic_value
 from .golden import run_golden_suite
-from .groups import DEFAULT_AUT_CAP
 from .homology import MAX_DEGREE, group_homology, homology_orbits
 from .modules import tor_one, twisted_coinvariants
 from .resolutions import DEFAULT_BUDGET, Resolution
@@ -111,10 +110,6 @@ def _build_parsers():
     p_hom.add_argument("--orbits", action="store_true",
                        help="also count torsion classes up to sign and "
                             "automorphisms")
-    p_hom.add_argument("--aut-cap", type=int, default=DEFAULT_AUT_CAP,
-                       help="largest group order whose automorphisms are "
-                            f"enumerated for --orbits (default "
-                            f"{DEFAULT_AUT_CAP})")
     p_hom.set_defaults(func=cmd_homology)
 
     p_census = sub.add_parser(
@@ -132,9 +127,6 @@ def _build_parsers():
         help="homology torsion classes up to sign and automorphisms")
     p_orbit.add_argument("--degree", type=int, required=True,
                          help=f"homology degree (0..{MAX_DEGREE})")
-    p_orbit.add_argument("--aut-cap", type=int, default=DEFAULT_AUT_CAP,
-                         help="largest group order whose automorphisms "
-                              f"are enumerated (default {DEFAULT_AUT_CAP})")
     p_orbit.set_defaults(func=cmd_orbit)
 
     p_verify = sub.add_parser(
@@ -406,14 +398,12 @@ def cmd_census(args) -> int:
 
 
 def _orbit_report(args, group, w, budget, stored):
-    if args.aut_cap <= 0:
-        raise ParseError(f"aut cap must be positive, got {args.aut_cap}")
     if stored is not None:
         raise UnsupportedInputError(
             "orbit counting picks its own resolution; drop "
             "--resolution file")
     return homology_orbits(group, w, args.degree, provider=args.resolution,
-                           budget=budget, aut_cap=args.aut_cap)
+                           budget=budget)
 
 
 def cmd_orbit(args) -> int:

@@ -1,6 +1,9 @@
-"""Exception types shared across the library."""
+"""Exception types, and the default work budget, shared across the library."""
 
 from __future__ import annotations
+
+# Default bound on one computation's work estimate, in the units it names.
+DEFAULT_BUDGET = 250_000
 
 
 class GammaLabError(Exception):

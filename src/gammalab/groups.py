@@ -10,12 +10,12 @@ the group-ring involution ``sum c_g g  |->  sum c_g w(g) g^-1``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import BudgetExceededError, GroupValidationError, IncompatibleInputError
-
-DEFAULT_AUT_CAP = 12
+from .errors import (DEFAULT_BUDGET, BudgetExceededError, GroupValidationError,
+                     IncompatibleInputError)
 
 
 class FiniteGroup:
@@ -484,21 +484,26 @@ def subgroup_and_cosets(group: FiniteGroup, generators: Sequence[int]) -> Subgro
     return SubgroupData(group, tuple(elements), subgroup, tuple(cosets), representatives)
 
 
-def automorphisms(group: FiniteGroup, cap: int = DEFAULT_AUT_CAP) -> List[Tuple[int, ...]]:
+def automorphisms(group: FiniteGroup,
+                  budget: Optional[int] = DEFAULT_BUDGET) -> List[Tuple[int, ...]]:
     """All automorphisms, as permutation tuples ``alpha[g]``.
 
     Enumeration assigns images to a generating set only (candidates filtered
-    by element order) and extends by closure, so the search space is tiny for
-    the supported orders.  Groups of order above ``cap`` are refused.
+    by element order) and extends each tuple of images by one walk over the
+    group.  That work, the number of tuples times the group order, is
+    charged against ``budget`` before any tuple is tried; ``None`` removes
+    the bound.
     """
-    if group.order > cap:
-        raise BudgetExceededError(
-            f"group of order {group.order} is too large for automorphism "
-            f"enumeration (cap {cap})")
     gens = group.generating_set()
     orders = [group.element_order(g) for g in range(group.order)]
     candidates = [[h for h in range(group.order) if orders[h] == orders[g]]
                   for g in gens]
+    tuples = math.prod(map(len, candidates))
+    if budget is not None and tuples * group.order > budget:
+        raise BudgetExceededError(
+            f"automorphism enumeration cost {tuples * group.order} exceeds "
+            f"budget {budget} ({tuples} image tuples times group order "
+            f"{group.order}); raise the budget")
     found = []
     for images in itertools.product(*candidates):
         alpha = _extend_automorphism(group, gens, images)
@@ -526,9 +531,11 @@ def is_automorphism(group: FiniteGroup, alpha: Sequence[int]) -> bool:
 
 
 def automorphisms_preserving(group: FiniteGroup, w: OrientationChar,
-                             cap: int = DEFAULT_AUT_CAP) -> List[Tuple[int, ...]]:
-    """Automorphisms ``alpha`` with ``w(alpha(g)) = w(g)`` for every ``g``."""
-    return [alpha for alpha in automorphisms(group, cap)
+                             budget: Optional[int] = DEFAULT_BUDGET
+                             ) -> List[Tuple[int, ...]]:
+    """Automorphisms ``alpha`` with ``w(alpha(g)) = w(g)`` for every ``g``,
+    charged as :func:`automorphisms` charges."""
+    return [alpha for alpha in automorphisms(group, budget)
             if all(w(alpha[g]) == w(g) for g in range(group.order))]
 
 

@@ -31,8 +31,7 @@ from .abelian import AbelianHom, AbelianPresentation
 from .errors import (BudgetExceededError, IncompatibleInputError,
                      UnsupportedInputError)
 from .groups import (FiniteGroup, OrientationChar, automorphisms_preserving,
-                     generators_modulo_inner, is_automorphism,
-                     DEFAULT_AUT_CAP)
+                     generators_modulo_inner, is_automorphism)
 from .intmat import (Cokernel, IntMatrix, SNFSolver, elementary_divisors,
                      kernel_basis, sparse_columns)
 from .resolutions import (DEFAULT_BUDGET, Resolution, chain_resolution_ranks,
@@ -195,15 +194,16 @@ def _check_descends(group: FiniteGroup, w: OrientationChar,
 
 
 def _homology_action(group: FiniteGroup, w: OrientationChar, k: int,
-                     provider: str, budget: Optional[int], aut_cap: int
+                     provider: str, budget: Optional[int]
                      ) -> Tuple[AbelianPresentation, List[Tuple[int, ...]],
-                                Callable[[Sequence[int]], AbelianHom]]:
+                                Callable[[Sequence[int]], List[List[int]]]]:
     """The homology :func:`induced_homology_maps` presents, the
     character-preserving automorphisms, and a function that pushes one of
-    them to the endomorphism it induces."""
+    them to the columns of the endomorphism it induces.  ``budget`` is
+    charged for the resolution, then for the enumeration."""
     coker = Cokernel(*_twisted_differential(group, w, k, provider, budget,
                                             None))
-    auts = automorphisms_preserving(group, w, cap=aut_cap)
+    auts = automorphisms_preserving(group, w, budget)
     free = coker.rank if k == 0 else 0
     pres = AbelianPresentation.from_diagonal([0] * free + list(coker.torsion))
     hidden = [0] * (coker.rank - free)
@@ -212,7 +212,7 @@ def _homology_action(group: FiniteGroup, w: OrientationChar, k: int,
              for unit in IntMatrix.identity(pres.ngens).data]
     periodic = _provider_name(group, provider) == "cyclic"
 
-    def push(alpha: Sequence[int]) -> AbelianHom:
+    def push(alpha: Sequence[int]) -> List[List[int]]:
         if periodic:
             scalar = _periodic_self_map(group, w, k, alpha)
             perm = range(coker.nrows)
@@ -225,16 +225,14 @@ def _homology_action(group: FiniteGroup, w: OrientationChar, k: int,
             f, t = coker.coordinates({perm[i]: scalar * c
                                       for i, c in lift.items()})
             columns.append(list(f[:free] + t))
-        return AbelianHom(pres, pres, IntMatrix.from_columns(
-            columns, rows=pres.ngens))
+        return columns
 
     return pres, auts, push
 
 
 def induced_homology_maps(group: FiniteGroup, w: OrientationChar, k: int,
                           provider: str = "auto",
-                          budget: Optional[int] = DEFAULT_BUDGET,
-                          aut_cap: int = DEFAULT_AUT_CAP
+                          budget: Optional[int] = DEFAULT_BUDGET
                           ) -> Tuple[AbelianPresentation, List[AbelianHom]]:
     """The degree-``k`` homology together with the endomorphisms induced by
     every character-preserving automorphism of the group, one map per
@@ -249,9 +247,9 @@ def induced_homology_maps(group: FiniteGroup, w: OrientationChar, k: int,
     coordinates of its image under each chain map (a relabeling of tuples,
     or a scalar on the periodic resolution).
     """
-    pres, auts, push = _homology_action(group, w, k, provider, budget,
-                                        aut_cap)
-    return pres, [push(alpha) for alpha in auts]
+    pres, auts, push = _homology_action(group, w, k, provider, budget)
+    return pres, [AbelianHom(pres, pres, IntMatrix.from_columns(
+        push(alpha), rows=pres.ngens)) for alpha in auts]
 
 
 @dataclass
@@ -273,8 +271,7 @@ class OrbitReport:
 
 def homology_orbits(group: FiniteGroup, w: OrientationChar, k: int,
                     provider: str = "auto",
-                    budget: Optional[int] = DEFAULT_BUDGET,
-                    aut_cap: int = DEFAULT_AUT_CAP) -> OrbitReport:
+                    budget: Optional[int] = DEFAULT_BUDGET) -> OrbitReport:
     """Partition the torsion classes of the degree-``k`` twisted homology
     under negation and induced automorphism action, with orbit sizes and
     canonical-coordinate representatives.
@@ -286,9 +283,9 @@ def homology_orbits(group: FiniteGroup, w: OrientationChar, k: int,
     character-preserving automorphism, and the orbits are the same.
     ``automorphism_count`` still counts all of them, and the enumeration
     cost charged against ``budget`` is the torsion order times ``1 + 2 x``
-    that count."""
-    pres, auts, push = _homology_action(group, w, k, provider, budget,
-                                        aut_cap)
+    that count.  A class is its torsion tuple, visited in
+    ``enumerate_torsion`` order, so each orbit is met first at its least."""
+    pres, auts, push = _homology_action(group, w, k, provider, budget)
     order = pres.torsion_order()
     cost = order * (1 + 2 * len(auts))
     if budget is not None and cost > budget:
@@ -296,36 +293,29 @@ def homology_orbits(group: FiniteGroup, w: OrientationChar, k: int,
             f"orbit enumeration cost {cost} exceeds budget {budget} (torsion "
             f"order {order} times 1 + 2 x {len(auts)} character-preserving "
             f"automorphisms); raise the budget")
-    homs = [push(alpha) for alpha in generators_modulo_inner(group, auts)]
-    free_rank = pres.rank
-    zeros_free = [0] * free_rank
-    vec_of = {}
-    for key in pres.enumerate_torsion():
-        vec_of[key] = pres.from_canonical(zeros_free, key)
+    free, torsion = pres.rank, pres.torsion
+    # The torsion rows of each pushed map's torsion columns.
+    maps = [list(zip(*push(alpha)[free:]))[free:]
+            for alpha in generators_modulo_inner(group, auts)]
+
+    def images(x: Tuple[int, ...]):
+        yield tuple(-c % d for c, d in zip(x, torsion))
+        for rows in maps:
+            yield tuple(sum(a * c for a, c in zip(row, x)) % d
+                        for row, d in zip(rows, torsion))
+
     orbits = []
     seen = set()
-    for key in sorted(vec_of):
+    for key in pres.enumerate_torsion():
         if key in seen:
             continue
-        stack = [key]
-        orbit = set()
+        seen.add(key)
+        stack, size = [key], 0
         while stack:
-            current = stack.pop()
-            if current in orbit:
-                continue
-            orbit.add(current)
-            x = vec_of[current]
-            images = [[-c for c in x]]
-            for hom in homs:
-                y = hom.apply(x)
-                images.append(y)
-                images.append([-c for c in y])
-            for y in images:
-                yk = pres.to_canonical(y)[1]
-                if yk not in orbit:
-                    stack.append(yk)
-        seen |= orbit
-        rep = min(orbit)
-        orbits.append((rep, len(orbit)))
-    orbits.sort(key=lambda item: item[0])
-    return OrbitReport(pres, free_rank, len(auts), len(orbits), orbits)
+            size += 1
+            for y in images(stack.pop()):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        orbits.append((key, size))
+    return OrbitReport(pres, free, len(auts), len(orbits), orbits)

@@ -132,11 +132,14 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
+        """Build from a list of columns; ``rows`` is required when the list is empty."""
         if not columns:
             if rows is None:
                 raise ValueError("row count required for an empty column list")
             return cls(rows, 0)
         height = len(columns[0])
+        if rows is not None and rows != height:
+            raise ValueError(f"columns have length {height}, expected {rows}")
         m = cls(height, len(columns))
         for j, col in enumerate(columns):
             if len(col) != height:

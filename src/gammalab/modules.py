@@ -330,10 +330,7 @@ def twisted_coinvariants(module: ZPiModule, w: OrientationChar,
     its own generator, so that projection and section are the identity.
 
     ``budget`` bounds the work estimate of :func:`check_coinvariants_budget`
-    before anything is built, and on the orbit route, once the ``k`` orbits
-    of the ``n`` basis vectors are known, the ``k·n`` entries of the dense
-    projection and section, whether or not they are read; ``None`` removes
-    the bound.
+    before anything is built; ``None`` removes the bound.
     """
     _check_same_group(module, w)
     signed = (module.table is not None
@@ -342,11 +339,9 @@ def twisted_coinvariants(module: ZPiModule, w: OrientationChar,
                               module.underlying.relations.rows, signed, budget)
     if signed:
         table = module.table
-        result = _coinvariants_by_orbits(
+        return _coinvariants_by_orbits(
             module.underlying, w,
             lambda x: [(images[x], signs[x]) for images, signs in table])
-        check_projection_budget(result, budget)
-        return result
     n = module.underlying.ngens
     rows = [list(module.underlying.relations.row(r))
             for r in range(module.underlying.relations.rows)]
@@ -390,7 +385,8 @@ def _coinvariants_by_orbits(source: AbelianPresentation, w: OrientationChar,
     some ``s`` fixes ``x`` with ``s.x = e.x`` and ``e != w(s)``, the twist
     relation ``(e - w(s)).x`` makes it ``Z/2``; otherwise it is ``Z``.  The
     basis vector ``y = e.g.x`` projects to ``e.w(g)`` times its generator.
-    Callers bound the result with :func:`check_projection_budget`.
+    Readers of its dense projection and section bound them with
+    :func:`check_projection_budget`.
     """
     n = source.ngens
     orbit = [-1] * n
@@ -417,8 +413,8 @@ def _coinvariants_by_orbits(source: AbelianPresentation, w: OrientationChar,
 
 def check_projection_budget(result: CoinvariantsResult,
                             budget: Optional[int]) -> None:
-    """Refuse orbit-route coinvariants whose dense projection, ``k·n``
-    entries for ``k`` orbits of ``n`` basis vectors, exceeds ``budget``."""
+    """Refuse coinvariants whose dense projection, ``k·n`` entries for
+    ``k`` generators over ``n`` basis vectors, exceeds ``budget``."""
     k, n = len(result.firsts), len(result.orbit)
     if budget is not None and k * n > budget:
         raise BudgetExceededError(
@@ -509,15 +505,25 @@ def restrict_module(module: ZPiModule, sub: SubgroupData) -> ZPiModule:
     return ZPiModule(sub.subgroup, module.underlying, action, check=False)
 
 
+def _coinvariants_pair(module: ZPiModule, w: OrientationChar,
+                       sub: SubgroupData
+                       ) -> Tuple[CoinvariantsResult, CoinvariantsResult]:
+    """Coinvariants over the subgroup and over the group, each refused at
+    the default budget before its dense projection and section are read."""
+    _check_same_group(module, w)
+    coinv_sub = twisted_coinvariants(restrict_module(module, sub),
+                                     w.restrict(sub.elements, sub.subgroup))
+    check_projection_budget(coinv_sub, DEFAULT_BUDGET)
+    coinv_full = twisted_coinvariants(module, w)
+    check_projection_budget(coinv_full, DEFAULT_BUDGET)
+    return coinv_sub, coinv_full
+
+
 def induced_coinvariants_map(module: ZPiModule, w: OrientationChar,
                              sub: SubgroupData) -> AbelianHom:
     """The quotient-further map from subgroup coinvariants to full
     coinvariants, induced by the identity on the module."""
-    _check_same_group(module, w)
-    restricted = restrict_module(module, sub)
-    w_sub = w.restrict(sub.elements, sub.subgroup)
-    coinv_sub = twisted_coinvariants(restricted, w_sub)
-    coinv_full = twisted_coinvariants(module, w)
+    coinv_sub, coinv_full = _coinvariants_pair(module, w, sub)
     matrix = coinv_full.projection.matrix.mul(coinv_sub.section)
     return AbelianHom(coinv_sub.presentation, coinv_full.presentation, matrix)
 
@@ -530,11 +536,7 @@ def transfer_down(module: ZPiModule, w: OrientationChar,
     coset representatives, read in subgroup coinvariants.  Composing with the
     quotient-further map multiplies by the subgroup index.
     """
-    _check_same_group(module, w)
-    restricted = restrict_module(module, sub)
-    w_sub = w.restrict(sub.elements, sub.subgroup)
-    coinv_sub = twisted_coinvariants(restricted, w_sub)
-    coinv_full = twisted_coinvariants(module, w)
+    coinv_sub, coinv_full = _coinvariants_pair(module, w, sub)
     n = module.underlying.ngens
     columns = []
     for x in coinv_full.section.columns():

@@ -19,14 +19,13 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .errors import BudgetExceededError, IncompatibleInputError, UnsupportedInputError
+from .errors import (DEFAULT_BUDGET, BudgetExceededError, IncompatibleInputError,
+                     UnsupportedInputError)
 from .groups import FiniteGroup, OrientationChar
 from .intmat import IntMatrix, elementary_divisors, sparse_columns
 
 if TYPE_CHECKING:
     from .modules import ZPiModule
-
-DEFAULT_BUDGET = 250_000
 
 # A differential is a matrix of group ring elements, stored as nested lists:
 # entry[i][j] is a coefficient tuple of length ``group.order``.
@@ -88,9 +87,9 @@ class Resolution:
             rows.append(row)
         return IntMatrix.from_rows(rows, cols=self.ranks[k])
 
-    def validate(self, check_exactness: bool = True) -> None:
-        """Check the chain condition, and optionally exactness over the
-        integers (the defining property of resolving the integers).
+    def validate(self) -> None:
+        """Check the chain condition and exactness over the integers (the
+        defining property of resolving the integers).
 
         Exactness is read off elementary divisors: the complex is exact at
         degree ``k`` when ``rank d_k + rank d_{k+1}`` is the rank of the
@@ -104,7 +103,7 @@ class Resolution:
                 raise IncompatibleInputError(
                     f"differentials at degrees {k} and {k - 1} do not compose "
                     f"to zero")
-        if not check_exactness or self.length < 1:
+        if self.length < 1:
             return
         divisors = [elementary_divisors(m.rows, sparse_columns(m))
                     for m in underlying]

@@ -306,7 +306,7 @@ def parse_resolution(doc: dict, group: FiniteGroup,
             f"{name} must have {ranks[k - 1]} rows", lambda i, j: name))
     resolution = Resolution(group, ranks, differentials)
     try:
-        resolution.validate(check_exactness=True)
+        resolution.validate()
     except GammaLabError as exc:
         raise ParseError(f"{origin}: invalid resolution: {exc}") from exc
     return resolution

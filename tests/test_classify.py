@@ -791,29 +791,28 @@ def test_module_census_on_split_module():
     assert report.lambda_class is None
 
 
-def test_module_census_refuses_orbit_projection_over_budget(tmp_path,
-                                                            capsys):
+def test_module_census_answers_without_a_dense_projection(tmp_path,
+                                                          capsys):
     """The trivial module of rank 80 over the trivial group passes the
-    first estimate (functor value rank 3,240 times order 1), but its 3,240
-    orbits need a 3,240 x 3,240 projection.  The refusal repeats, with the
-    same message, after an unbounded call has kept the orbits."""
+    estimate (functor value rank 3,240 times order 1).  Its 3,240 orbits
+    would need a 3,240 x 3,240 projection, but census never builds one,
+    so it answers at the default budget, once kept as on a cold call."""
     group = trivial_group()
     w = OrientationChar.trivial(group)
-    with pytest.raises(BudgetExceededError,
-                       match="3240 orbits by 3240 basis vectors") as cold:
-        module_census(group, w, trivial_module(group, 80))
-    kept = trivial_module(group, 80)
-    assert module_census(group, w, kept, budget=None).coinvariants.ngens == 3240
-    with pytest.raises(BudgetExceededError) as warm:
-        module_census(group, w, kept)
-    assert str(warm.value) == str(cold.value)
-    module = tmp_path / "m.json"
-    module.write_text(json.dumps({"ngens": 80, "action": {
+    module = trivial_module(group, 80)
+    for _ in range(2):
+        report = module_census(group, w, module)
+        assert report.coinvariants.invariant_factors() == (3240, ())
+        assert report.count == 1
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"ngens": 80, "action": {
         "0": IntMatrix.identity(80).data}}))
-    code = cli.main(["census", "--group", "trivial", "--module", str(module)])
+    code = cli.main(["census", "--group", "trivial", "--module", str(path)])
     out, err = capsys.readouterr()
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and "3240 orbits" in err
+    assert (code, err) == (0, "")
+    assert out.startswith("group order = 1\nmodule free rank over the group "
+                          "ring = 80\ncoinvariants = Z^3240\n")
+    assert "\ncount = 1\n" in out
 
 
 def test_orbit_projection_budget_admits_every_bundled_small_case():

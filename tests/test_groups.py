@@ -497,8 +497,8 @@ def test_automorphism_counts():
     assert len(automorphisms(cyclic_group(6))) == 2
     assert len(automorphisms(klein_four_group())) == 6
     assert len(automorphisms(symmetric_group_3())) == 6
-    assert len(automorphisms(dihedral_group_4(), cap=100)) == 8
-    assert len(automorphisms(quaternion_group(), cap=100)) == 24
+    assert len(automorphisms(dihedral_group_4())) == 8
+    assert len(automorphisms(quaternion_group())) == 24
 
 
 def test_extend_automorphism_refuses_a_walk_that_is_not_injective():
@@ -512,7 +512,7 @@ def test_extend_automorphism_refuses_a_walk_that_is_not_injective():
             if alpha is not None:
                 accepted.append(alpha)
         assert all(is_automorphism(group, alpha) for alpha in accepted), name
-        assert sorted(accepted) == automorphisms(group, cap=100), name
+        assert sorted(accepted) == automorphisms(group), name
 
 
 def test_automorphisms_are_automorphisms():
@@ -525,14 +525,35 @@ def test_automorphisms_are_automorphisms():
                     assert phi[group.mul(a, b)] == group.mul(phi[a], phi[b])
 
 
-def test_automorphism_cap_raises():
-    with pytest.raises(BudgetExceededError) as info:
-        automorphisms(dihedral_group_4(), cap=2)
-    assert "cap" in str(info.value)
-    with pytest.raises(BudgetExceededError):
-        automorphisms_preserving(quaternion_group(),
-                                 OrientationChar.trivial(quaternion_group()),
-                                 cap=3)
+# Per bundled group: candidate image tuples times group order, and the
+# number of automorphisms.  d4's generators, a rotation and a reflection,
+# have 2 and 5 candidates: 10 tuples, each a walk over 8 elements.  q8's
+# generating set holds -1, its only involution, beside two elements of
+# order 4 with 6 candidates each.
+BUNDLED_AUTOMORPHISM_CHARGES = {
+    "trivial": (1, 1), "z2": (2, 1), "z3": (6, 2), "z4": (8, 2),
+    "z6": (12, 2), "klein4": (36, 6), "s3": (36, 6), "d4": (80, 8),
+    "q8": (288, 24)}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_AUTOMORPHISM_CHARGES))
+def test_automorphism_enumeration_is_charged_before_any_tuple(name,
+                                                              monkeypatch):
+    group = standard_library()[name]
+    charge, count = BUNDLED_AUTOMORPHISM_CHARGES[name]
+    assert len(automorphisms(group, budget=charge)) == count
+
+    def walked(*args):
+        raise AssertionError("an image tuple was walked")
+
+    monkeypatch.setattr(groups, "_extend_automorphism", walked)
+    message = (f"automorphism enumeration cost {charge} exceeds budget "
+               f"{charge - 1} ")
+    with pytest.raises(BudgetExceededError, match=message):
+        automorphisms(group, budget=charge - 1)
+    with pytest.raises(BudgetExceededError, match=message):
+        automorphisms_preserving(group, OrientationChar.trivial(group),
+                                 budget=charge - 1)
 
 
 def test_automorphisms_preserving_character():

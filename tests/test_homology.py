@@ -26,6 +26,7 @@ import pytest
 from gammalab.builtins import (
     cyclic_group,
     dihedral_group_4,
+    direct_product,
     klein_four_group,
     quaternion_group,
     standard_library,
@@ -34,6 +35,7 @@ from gammalab.builtins import (
 )
 from gammalab.errors import BudgetExceededError, IncompatibleInputError, \
     UnsupportedInputError
+from gammalab import groups
 from gammalab.groups import OrientationChar, all_characters
 from gammalab.homology import (
     MAX_DEGREE,
@@ -417,9 +419,19 @@ def test_order_eight_degree_three_orbits(make, name):
             assert got[:2] == ORDER_EIGHT_DEGREE_THREE_TRIVIAL[name]
 
 
-def test_orbit_aut_cap_propagates():
-    q8 = quaternion_group()
-    with pytest.raises(BudgetExceededError):
-        homology_orbits(q8, OrientationChar.trivial(q8), 1, aut_cap=3)
-    report = homology_orbits(q8, OrientationChar.trivial(q8), 1, aut_cap=24)
-    assert report.automorphism_count == 24
+def test_orbit_automorphism_enumeration_is_charged_before_any_tuple(
+        monkeypatch):
+    """(Z/2)^4 has a cheap degree-0 resolution, but its four generators
+    each have 15 candidate images: 50,625 tuples times 16 elements is
+    refused at the default budget before any tuple is walked."""
+    klein4 = klein_four_group()
+    group = direct_product(klein4, klein4)
+
+    def walked(*args):
+        raise AssertionError("an image tuple was walked")
+
+    monkeypatch.setattr(groups, "_extend_automorphism", walked)
+    with pytest.raises(BudgetExceededError,
+                       match="automorphism enumeration cost 810000 exceeds "
+                             "budget 250000"):
+        homology_orbits(group, OrientationChar.trivial(group), 0)

@@ -28,7 +28,8 @@ automatic and the bar provider.
 import pytest
 
 from gammalab.abelian import AbelianHom
-from gammalab.builtins import standard_library
+from gammalab.builtins import (cyclic_group, dihedral_group_4,
+                               direct_product, standard_library)
 from gammalab.errors import IncompatibleInputError
 from gammalab.groups import (all_characters, automorphisms,
                              automorphisms_preserving,
@@ -155,7 +156,7 @@ def test_a_relabeling_that_is_not_a_chain_map_is_refused(monkeypatch):
     swap = list(range(4))
     swap[one], swap[two] = two, one
     monkeypatch.setattr(homology, "automorphisms_preserving",
-                        lambda group, w, cap: [list(range(4)), swap])
+                        lambda group, w, budget: [list(range(4)), swap])
     with pytest.raises(IncompatibleInputError, match="chain map"):
         induced_homology_maps(z4, w, 1, provider="bar")
 
@@ -169,7 +170,7 @@ def test_an_automorphism_that_moves_the_character_is_refused(monkeypatch):
         moving = next(alpha for alpha in automorphisms(klein4)
                       if any(w(alpha[g]) != w(g) for g in range(4)))
         monkeypatch.setattr(homology, "automorphisms_preserving",
-                            lambda group, w, cap: [identity, moving])
+                            lambda group, w, budget: [identity, moving])
         for k in range(1, 4):
             with pytest.raises(IncompatibleInputError, match="chain map"):
                 induced_homology_maps(klein4, w, k, provider="bar")
@@ -230,6 +231,22 @@ def test_generator_orbits_match_orbits_over_every_automorphism(group, w, k):
         assert report.automorphism_count == count
         assert report.orbit_count == orbit_count
         assert report.orbits == orbits
+
+
+def test_a_group_of_order_sixteen_is_charged_not_refused():
+    """Z/2 x d4 has 64 automorphisms.  Its generators, one of order 4 and
+    two of order 2, have 4, 11 and 11 candidates: 484 tuples times 16
+    elements is within the default budget, and the orbits match the walk
+    over every automorphism."""
+    group = direct_product(cyclic_group(2), dihedral_group_4())
+    w = all_characters(group)[0]
+    report = homology_orbits(group, w, 1)
+    assert report.presentation.invariant_factors() == (0, (2, 2, 2))
+    assert (report.automorphism_count, report.orbit_count) == (64, 4)
+    _, free_rank, count, orbit_count, orbits = \
+        orbits_over_every_automorphism(group, w, 1, "auto")
+    assert (report.free_rank, report.automorphism_count, report.orbit_count,
+            report.orbits) == (free_rank, count, orbit_count, orbits)
 
 
 def test_orbits_push_generators_modulo_inner_automorphisms():

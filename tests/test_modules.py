@@ -38,6 +38,7 @@ from gammalab.modules import (
     detect_free_structure,
     direct_sum_module,
     free_module,
+    induced_coinvariants_map,
     module_from_action,
     norm_quotient_module,
     regular_module,
@@ -459,7 +460,6 @@ def test_transfer_projection_composite_is_index_scaling():
         wsub = w.restrict(data.elements, data.subgroup)
         full = twisted_coinvariants(module, w)
         # Induced projection from subgroup coinvariants to full coinvariants.
-        from gammalab.modules import induced_coinvariants_map
         proj = induced_coinvariants_map(module, w, data)
         comp = proj.compose(tr)
         n = full.presentation.ngens
@@ -468,6 +468,21 @@ def test_transfer_projection_composite_is_index_scaling():
         scaled = [data.index * v for v in x]
         assert full.presentation.elements_equal(image, scaled)
         cases += 1
+
+
+def test_transfer_maps_refuse_a_dense_projection_over_budget():
+    """Both transfer maps read the dense projection and section of the
+    coinvariants, and refuse them at the default budget: the free module of
+    rank 354 over Z/2 has 354 orbits of 708 basis vectors."""
+    z2 = cyclic_group(2)
+    w = OrientationChar.trivial(z2)
+    whole = subgroup_and_cosets(z2, [1])
+    for transfer in (transfer_down, induced_coinvariants_map):
+        with pytest.raises(BudgetExceededError,
+                           match=r"projection of 354 orbits by 708 basis "
+                                 r"vectors \(250632 entries\) exceeds "
+                                 r"budget 250000"):
+            transfer(free_module(z2, 354), w, whole)
 
 
 def test_transfer_then_projection_on_normal_subgroups():

@@ -66,7 +66,7 @@ def test_chain_resolution_validates():
         res = chain_resolution(group, length)
         assert res.length == length
         assert res.ranks == chain_resolution_ranks(group.order, length)
-        res.validate(check_exactness=True)
+        res.validate()
 
 
 def test_periodic_resolution_validates():
@@ -75,7 +75,7 @@ def test_periodic_resolution_validates():
         res = periodic_resolution(group, 5)
         assert res.length == 5
         assert res.ranks == [1] * 6
-        res.validate(check_exactness=True)
+        res.validate()
 
 
 def test_periodic_resolution_differentials_alternate():
@@ -219,7 +219,7 @@ def test_validate_detects_broken_chain_condition():
     diffs[2][0][0][1] += 1  # perturb one ring coefficient of d_3
     broken = Resolution(z4, list(res.ranks), freeze(diffs))
     with pytest.raises(IncompatibleInputError) as info:
-        broken.validate(check_exactness=True)
+        broken.validate()
     assert "compose to zero" in str(info.value)
 
 
@@ -231,10 +231,8 @@ def test_validate_detects_inexactness():
     diffs[2] = [[[0, 0, 0, 0]]]
     broken = Resolution(z4, list(res.ranks), freeze(diffs))
     with pytest.raises(IncompatibleInputError) as info:
-        broken.validate(check_exactness=True)
+        broken.validate()
     assert "exact" in str(info.value)
-    # The cheaper chain-condition-only check accepts it.
-    broken.validate(check_exactness=False)
 
 
 def test_validate_checks_degree_zero_augmentation():
@@ -246,7 +244,7 @@ def test_validate_checks_degree_zero_augmentation():
     diffs[0] = [[[-2, 2]]]
     broken = Resolution(z2, list(res.ranks), freeze(diffs))
     with pytest.raises(IncompatibleInputError):
-        broken.validate(check_exactness=True)
+        broken.validate()
 
 
 # -- budgets ----------------------------------------------------------------
@@ -275,5 +273,5 @@ def test_chain_resolution_respects_budget():
         chain_resolution(symmetric_group_3(), 5)
     # Raising the budget unblocks the same call.
     res = chain_resolution(symmetric_group_3(), 3, budget=30000)
-    res.validate(check_exactness=False)
+    res.validate()
     assert res.length == 3

@@ -377,6 +377,9 @@ def test_matrix_shape_validation():
         IntMatrix.from_rows([])
     assert IntMatrix.from_rows([], cols=3).shape == (0, 3)
     assert IntMatrix.from_columns([], rows=2).shape == (2, 0)
+    with pytest.raises(ValueError, match="columns have length 2, expected 3"):
+        IntMatrix.from_columns([[1, 2]], rows=3)
+    assert IntMatrix.from_columns([[1, 2]], rows=2).shape == (2, 1)
 
 
 def test_matrix_arithmetic_round_trip():

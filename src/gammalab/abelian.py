@@ -45,14 +45,18 @@ def cyclic_invariants(rank: int, factors: Sequence[int]) -> Tuple[int, Tuple[int
 
 
 class AbelianPresentation:
-    """An abelian group presented by generators and relation rows."""
+    """An abelian group presented by generators and relation rows.
+
+    A presentation from :meth:`from_factors` writes its rows on the first
+    read of ``relations``; its invariants, equality, hash and description
+    never read them."""
 
     def __init__(self, ngens: int, relations: IntMatrix):
         if relations.cols != ngens:
             raise ValueError(
                 f"relation matrix has {relations.cols} columns for {ngens} generators")
         self.ngens = ngens
-        self.relations = relations
+        self._relations: Optional[IntMatrix] = relations
         self._invariants: Optional[Tuple[int, Tuple[int, ...]]] = None
         self._canonical = None
 
@@ -79,14 +83,16 @@ class AbelianPresentation:
     @classmethod
     def from_factors(cls, rank: int, factors: Sequence[int]) -> "AbelianPresentation":
         """``Z^rank`` plus one cyclic summand ``Z/d`` per factor, with the
-        invariants read off the factors by :func:`cyclic_invariants`."""
-        n = rank + len(factors)
-        rows = []
-        for i, d in enumerate(factors):
-            row = [0] * n
-            row[rank + i] = d
-            rows.append(row)
-        return cls.from_relation_rows(n, rows, cyclic_invariants(rank, factors))
+        invariants read off the factors by :func:`cyclic_invariants`.  The
+        relation row of ``Z/d`` is ``d`` on its generator, after the ``rank``
+        free ones, written when ``relations`` is first read."""
+        presentation = cls.__new__(cls)
+        presentation.ngens = rank + len(factors)
+        presentation._relations = None
+        presentation._factors = tuple(factors)
+        presentation._invariants = cyclic_invariants(rank, factors)
+        presentation._canonical = None
+        return presentation
 
     @classmethod
     def from_diagonal(cls, orders: Sequence[int]) -> "AbelianPresentation":
@@ -107,6 +113,20 @@ class AbelianPresentation:
         presentation._canonical = Cokernel.diagonal(orders)
         presentation._invariants = (n - len(torsion), tuple(torsion))
         return presentation
+
+    @property
+    def relations(self) -> IntMatrix:
+        """One relation per row; :meth:`from_factors` writes them here."""
+        if self._relations is None:
+            n = self.ngens
+            rank = n - len(self._factors)
+            rows = []
+            for i, d in enumerate(self._factors):
+                row = [0] * n
+                row[rank + i] = d
+                rows.append(row)
+            self._relations = IntMatrix.from_rows(rows, cols=n)
+        return self._relations
 
     # -- invariants ---------------------------------------------------
 

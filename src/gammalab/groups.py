@@ -28,8 +28,11 @@ class FiniteGroup:
     every character and coefficient module; and in ``symmetric_gathers``,
     keyed by rank, where a form's symmetric matrix reads its entries,
     which :func:`~gammalab.classify._symmetric_value` fills for every
-    character.  They live as long as the group, and a group built again
-    from the same table starts empty."""
+    character; in ``automorphism_lists``, under ``None`` and under each
+    character's values, the automorphisms and those preserving the
+    character; and in ``outer_generators``, under a character's values,
+    their generators modulo inner ones.  They live as long as the group,
+    and a group built again from the same table starts empty."""
 
     def __init__(self, table: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None):
         self.order = len(table)
@@ -47,6 +50,8 @@ class FiniteGroup:
         self.bar_skeletons: Dict[Tuple[int, Optional[Tuple[int, ...]]],
                                  list] = {}
         self.symmetric_gathers: Dict[int, Tuple[list, list]] = {}
+        self.automorphism_lists: Dict[Optional[Tuple[int, ...]], list] = {}
+        self.outer_generators: Dict[Tuple[int, ...], list] = {}
         self._validate()
         self.inverse = tuple(self._find_inverse(a) for a in range(self.order))
 
@@ -491,8 +496,8 @@ def automorphisms(group: FiniteGroup,
     Enumeration assigns images to a generating set only (candidates filtered
     by element order) and extends each tuple of images by one walk over the
     group.  That work, the number of tuples times the group order, is
-    charged against ``budget`` before any tuple is tried; ``None`` removes
-    the bound.
+    charged against ``budget`` on every call, before any tuple is tried or
+    the list kept from an earlier call is read; ``None`` removes the bound.
     """
     gens = group.generating_set()
     orders = [group.element_order(g) for g in range(group.order)]
@@ -504,13 +509,16 @@ def automorphisms(group: FiniteGroup,
             f"automorphism enumeration cost {tuples * group.order} exceeds "
             f"budget {budget} ({tuples} image tuples times group order "
             f"{group.order}); raise the budget")
-    found = []
-    for images in itertools.product(*candidates):
-        alpha = _extend_automorphism(group, gens, images)
-        if alpha is not None:
-            found.append(alpha)
-    found.sort()
-    return found
+    found = group.automorphism_lists.get(None)
+    if found is None:
+        found = []
+        for images in itertools.product(*candidates):
+            alpha = _extend_automorphism(group, gens, images)
+            if alpha is not None:
+                found.append(alpha)
+        found.sort()
+        group.automorphism_lists[None] = found
+    return list(found)
 
 
 def _extend_automorphism(group, gens, images):
@@ -534,9 +542,15 @@ def automorphisms_preserving(group: FiniteGroup, w: OrientationChar,
                              budget: Optional[int] = DEFAULT_BUDGET
                              ) -> List[Tuple[int, ...]]:
     """Automorphisms ``alpha`` with ``w(alpha(g)) = w(g)`` for every ``g``,
-    charged as :func:`automorphisms` charges."""
-    return [alpha for alpha in automorphisms(group, budget)
+    charged as :func:`automorphisms` charges, and kept on the group per
+    character."""
+    everything = automorphisms(group, budget)
+    kept = group.automorphism_lists.get(w.values)
+    if kept is None:
+        kept = group.automorphism_lists[w.values] = [
+            alpha for alpha in everything
             if all(w(alpha[g]) == w(g) for g in range(group.order))]
+    return list(kept)
 
 
 def generators_modulo_inner(group: FiniteGroup,
@@ -558,6 +572,20 @@ def generators_modulo_inner(group: FiniteGroup,
             kept.append(alpha)
             gens.add(alpha)
             closed = _compose_closure(group.order, gens)
+    return kept
+
+
+def preserving_generators_modulo_inner(group: FiniteGroup,
+                                       w: OrientationChar,
+                                       auts: Sequence[Tuple[int, ...]]
+                                       ) -> List[Tuple[int, ...]]:
+    """:func:`generators_modulo_inner` of ``auts``, the automorphisms
+    preserving ``w`` as :func:`automorphisms_preserving` lists them, kept on
+    the group per character."""
+    kept = group.outer_generators.get(w.values)
+    if kept is None:
+        kept = group.outer_generators[w.values] = generators_modulo_inner(
+            group, auts)
     return kept
 
 

@@ -31,12 +31,12 @@ from .abelian import AbelianHom, AbelianPresentation
 from .errors import (BudgetExceededError, IncompatibleInputError,
                      UnsupportedInputError)
 from .groups import (FiniteGroup, OrientationChar, automorphisms_preserving,
-                     generators_modulo_inner, is_automorphism)
+                     is_automorphism, preserving_generators_modulo_inner)
 from .intmat import (Cokernel, IntMatrix, SNFSolver, elementary_divisors,
                      kernel_basis, sparse_columns)
 from .resolutions import (DEFAULT_BUDGET, Resolution, chain_resolution_ranks,
                           check_budget, periodic_generator,
-                          periodic_resolution, twisted_chain_columns)
+                          twisted_chain_columns)
 
 MAX_DEGREE = 4
 
@@ -100,28 +100,31 @@ def _twisted_differential(group: FiniteGroup, w: OrientationChar, k: int,
     ``k + 1`` would make, and only the columns ending in
     ``group.bar_generators()`` that
     :func:`~gammalab.resolutions.twisted_chain_columns` keeps, for homology
-    and orbits alike; the cyclic provider's periodic resolution
-    and stored resolutions are collapsed through the character, and a
-    stored one is checked to compose to zero with ``d_k``."""
+    and orbits alike.  The cyclic provider's periodic resolution has one
+    entry per degree, ``t - 1`` in odd degrees and the sum of the elements
+    in even ones (:func:`~gammalab.resolutions.periodic_resolution`), so
+    ``d_{k+1}`` collapses through the character to ``w(t) - 1`` for even
+    ``k`` and ``sum w(g)`` for odd ``k``, with no resolution built.  A
+    stored resolution is collapsed through the character and checked to
+    compose to zero with ``d_k``."""
     _check_degree(k)
     if w.group is not group:
         raise IncompatibleInputError(
             "orientation character belongs to a different group")
-    if resolution is None and _provider_name(group, provider) == "bar":
-        ranks = chain_resolution_ranks(group.order, k + 1)
-        check_budget(group.order, ranks, budget)
-        return ranks[k], twisted_chain_columns(
-            group, w, k + 1, group.bar_generators())
-    stored = resolution is not None
-    if not stored:
-        resolution = periodic_resolution(group, k + 1)
-    elif resolution.length < k + 1:
+    if resolution is None:
+        if _provider_name(group, provider) == "bar":
+            ranks = chain_resolution_ranks(group.order, k + 1)
+            check_budget(group.order, ranks, budget)
+            return ranks[k], twisted_chain_columns(
+                group, w, k + 1, group.bar_generators())
+        t = periodic_generator(group)
+        return 1, [{0: w(t) - 1 if k % 2 == 0 else sum(w.values)}]
+    if resolution.length < k + 1:
         raise UnsupportedInputError(
             f"resolution of length {resolution.length} cannot compute "
             f"degree {k}; length {k + 1} is needed")
     d_in = resolution.twisted_matrix(k + 1, w)
-    if stored and k and not resolution.twisted_matrix(k, w).mul(
-            d_in).is_zero():
+    if k and not resolution.twisted_matrix(k, w).mul(d_in).is_zero():
         raise IncompatibleInputError(
             "maps do not compose to zero; not a chain complex")
     return resolution.ranks[k], sparse_columns(d_in)
@@ -279,8 +282,9 @@ def homology_orbits(group: FiniteGroup, w: OrientationChar, k: int,
     Conjugation by ``g`` acts on ``H_k(G; Z^w)`` as ``w(g) = ±1`` (Brown,
     *Cohomology of Groups*, II.6), and negation is already in the walk, so
     only the automorphisms :func:`~gammalab.groups.generators_modulo_inner`
-    keeps are pushed: with the inner ones they generate every
-    character-preserving automorphism, and the orbits are the same.
+    keeps are pushed, found once per group and character: with the inner
+    ones they generate every character-preserving automorphism, and the
+    orbits are the same.
     ``automorphism_count`` still counts all of them, and the enumeration
     cost charged against ``budget`` is the torsion order times ``1 + 2 x``
     that count.  A class is its torsion tuple, visited in
@@ -296,7 +300,7 @@ def homology_orbits(group: FiniteGroup, w: OrientationChar, k: int,
     free, torsion = pres.rank, pres.torsion
     # The torsion rows of each pushed map's torsion columns.
     maps = [list(zip(*push(alpha)[free:]))[free:]
-            for alpha in generators_modulo_inner(group, auts)]
+            for alpha in preserving_generators_modulo_inner(group, w, auts)]
 
     def images(x: Tuple[int, ...]):
         yield tuple(-c % d for c, d in zip(x, torsion))

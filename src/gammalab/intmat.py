@@ -13,22 +13,26 @@ Conventions
 * A sparse matrix is a row count plus a list of columns, each a
   ``{row: value}`` map of its nonzero entries; ``eliminate_units``,
   ``elementary_divisors`` and ``Cokernel`` take this form.
+  ``eliminate_units`` leaves the unit-free remainder as dense rows, one
+  per surviving column, which is the form both its readers take.
 * The diagonal-only routes never run ``smith_normal_form``, which stays
   for the callers that read a transform and as the test oracle.  A dense
   route and a sparse route meet in one tail, ``dense_elementary_divisors``:
-  an unlogged diagonalization of dense rows that takes unit pivots first
-  and drops each row that becomes zero, then the divisibility order by
+  a one-row or one-column matrix is the gcd of its entries, and a larger
+  one takes an unlogged diagonalization that takes unit pivots first and
+  drops each row that becomes zero, then the divisibility order by
   ``divisor_chain``.  The relation rows of a presentation go to the tail
   as they stand.  ``elementary_divisors`` is the sparse route: it
   eliminates the unit pivots of sparse columns, picked to keep fill-in
-  low, and hands the tail the dense remainder.  It serves the bar
-  differentials of homology (up to 2,401 x 4,802, where a dense pass would
-  take cubic time), stored and periodic resolutions,
-  ``Resolution.validate`` and module sizes.
+  low, and hands the tail the remainder's rows, uncopied, when any
+  survive.  It serves the bar differentials of homology (up to 2,401 x
+  4,802, where a dense pass would take cubic time), the one entry of a
+  periodic differential, stored resolutions, ``Resolution.validate`` and
+  module sizes.
 * Canonical coordinates of a cokernel have one route, ``Cokernel``: the
   unit pivots go through ``eliminate_units``, and only the unit-free
-  remainder goes to ``smith_normal_form``.  Presentations and homology
-  orbits read their coordinates from it.
+  remainder, as it comes, goes to ``smith_normal_form``.  Presentations
+  and homology orbits read their coordinates from it.
 * ``smith_normal_form`` returns ``U, D, V`` with ``U * M * V = D``, both
   transforms unimodular, and the diagonal of ``D`` nonnegative with each
   entry dividing the next.  The reduction logs its elementary operations;
@@ -528,7 +532,7 @@ Elimination = Tuple[int, int, Dict[int, int]]
 
 
 def eliminate_units(nrows: int, columns: Sequence[Mapping[int, int]]
-                    ) -> Tuple[List[Elimination], List[int], IntMatrix]:
+                    ) -> Tuple[List[Elimination], List[int], List[List[int]]]:
     """Sparse elimination of the entries ``±1`` of the ``nrows x
     len(columns)`` matrix whose ``j``-th column has the nonzero entries
     ``columns[j]`` (row -> value).
@@ -542,9 +546,12 @@ def eliminate_units(nrows: int, columns: Sequence[Mapping[int, int]]
     order made, ``(pivot row, pivot sign, pivot column)`` with the column as
     it stood then; in the cokernel that column says the pivot row's basis
     vector equals ``-sign`` times the rest of the column.  ``rest`` is the
-    dense remainder on the surviving columns, over the surviving rows that
-    still hold an entry, listed in ``rows`` in increasing order; the other
-    surviving rows are zero.  The input columns are left as they are.
+    unit-free remainder as dense rows: one per surviving nonzero column, in
+    column order, each over the surviving rows that still hold an entry,
+    listed in ``rows`` in increasing order; the other surviving rows are
+    zero.  So ``rest`` is the transpose of the remainder, which has the same
+    elementary divisors, and an empty ``rest`` leaves ``rows`` empty.  The
+    input columns are left as they are.
     """
     cols = [{i: v for i, v in col.items() if v} for col in columns]
     in_row: List[set] = [set() for _ in range(nrows)]
@@ -589,8 +596,12 @@ def eliminate_units(nrows: int, columns: Sequence[Mapping[int, int]]
     live_cols = [col for col in cols if col]
     rows = sorted({i for col in live_cols for i in col})
     position = {i: p for p, i in enumerate(rows)}
-    rest = from_sparse_columns(len(rows), [
-        {position[i]: value for i, value in col.items()} for col in live_cols])
+    rest = []
+    for col in live_cols:
+        row = [0] * len(rows)
+        for i, value in col.items():
+            row[position[i]] = value
+        rest.append(row)
     return eliminations, rows, rest
 
 
@@ -617,17 +628,19 @@ class Cokernel:
     ``>= 2``.
 
     The unit pivots go first, through :func:`eliminate_units`, and only the
-    unit-free remainder, its columns as rows, goes to
-    :func:`smith_normal_form`.  Coordinates replay the eliminations, then
-    read ``y = V^T x`` on the rows the remainder meets; a surviving row that
-    no column meets is a free coordinate of its own.  Lifts go back through
-    ``V^-1`` onto the surviving rows.  :meth:`diagonal` takes the rows as
-    the coordinates, with neither step.
+    unit-free remainder goes to :func:`smith_normal_form`, in the rows
+    ``eliminate_units`` gives, one per surviving column.  Coordinates
+    replay the eliminations, then read ``y = V^T x`` on the rows the
+    remainder meets; a surviving row that no column meets is a free
+    coordinate of its own.  Lifts go back through ``V^-1`` onto the
+    surviving rows.  :meth:`diagonal` takes the rows as the coordinates,
+    with neither step.
     """
 
     def __init__(self, nrows: int, columns: Sequence[Mapping[int, int]]):
         self._eliminations, self._rows, rest = eliminate_units(nrows, columns)
-        self._snf = smith_normal_form(rest.transpose())
+        self._snf = smith_normal_form(IntMatrix.from_rows(
+            rest, cols=len(self._rows)))
         taken = set(self._rows).union(row for row, _, _ in self._eliminations)
         own = [i for i in range(nrows) if i not in taken]
         diagonal = self._snf.diagonal
@@ -821,14 +834,26 @@ def dense_elementary_divisors(rows: Sequence[Sequence[int]],
     With ``length = min(rows, cols)`` this is
     ``smith_normal_form(M).diagonal`` for the matrix ``M`` with these rows,
     and equally with these columns: a matrix and its transpose have the
-    same diagonal.  :func:`_diagonalize` reduces a copy of the rows, so the
-    input is left as it is, :func:`divisor_chain` puts the result in
-    divisibility order, and ones and zeros pad it to ``length``.
+    same diagonal.  The tail reduces a copy, so the input is left as it
+    is.
     """
-    diagonal = _diagonalize([list(row) for row in rows])
-    chain = divisor_chain(diagonal)
-    ones = len(diagonal) - len(chain)
-    return [1] * ones + chain + [0] * (length - len(diagonal))
+    return _used_up_divisors([list(row) for row in rows], length)
+
+
+def _used_up_divisors(rows: List[List[int]], length: int) -> List[int]:
+    """:func:`dense_elementary_divisors` of rows it may use up.  A matrix of
+    one row or one column has one divisor, the gcd of its entries; a larger
+    one goes to :func:`_diagonalize`.  :func:`divisor_chain` puts the
+    diagonal in divisibility order, and ones and zeros pad it to
+    ``length``."""
+    if len(rows) > 1 and len(rows[0]) > 1:
+        diagonal = _diagonalize(rows)
+    else:
+        g = math.gcd(*chain.from_iterable(rows))
+        diagonal = [g] if g else []
+    divisors = divisor_chain(diagonal)
+    ones = len(diagonal) - len(divisors)
+    return [1] * ones + divisors + [0] * (length - len(diagonal))
 
 
 def elementary_divisors(nrows: int, columns: Sequence[Mapping[int, int]]) -> List[int]:
@@ -837,12 +862,16 @@ def elementary_divisors(nrows: int, columns: Sequence[Mapping[int, int]]) -> Lis
     value); the same list as ``smith_normal_form(M).diagonal``.
 
     :func:`eliminate_units` contributes a divisor ``1`` per unit pivot, and
-    :func:`dense_elementary_divisors` finishes the dense remainder.
+    the dense tail of :func:`dense_elementary_divisors` finishes the
+    remainder's rows, which nothing else reads, so they are not copied;
+    with no remainder the rest of the diagonal is zeros.
     """
     eliminations, _, rest = eliminate_units(nrows, columns)
     units = len(eliminations)
-    return [1] * units + dense_elementary_divisors(
-        rest.data, min(nrows, len(columns)) - units)
+    length = min(nrows, len(columns)) - units
+    if not rest:
+        return [1] * units + [0] * length
+    return [1] * units + _used_up_divisors(rest, length)
 
 
 class SNFSolver:

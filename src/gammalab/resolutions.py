@@ -279,16 +279,26 @@ def twisted_chain_columns(group: FiniteGroup, w: OrientationChar, k: int,
       ones, and nothing is circular.  For ``k = 1`` there is no ``y`` and
       nothing is dropped."""
     skeleton = bar_skeleton(group, k, last)
-    # Per element g and basis vector e_a: a and the entries of w(g)·g⁻¹·e_a.
-    if coefficients is None:
-        n, twist = 1, [((0, ((0, v),)),) for v in w.values]
-    else:
-        n = coefficients.underlying.ngens
-        units = list(enumerate(IntMatrix.identity(n).data))
-        twist = [[(a, [(b, w(g) * c) for b, c in enumerate(
-            coefficients.act(group.inv(g), unit)) if c]) for a, unit in units]
-            for g in range(group.order)]
     columns = []
+    if coefficients is None:
+        # Z^w: the drop-first entry is w(g_1), and the face rows are the
+        # skeleton's own.
+        values = w.values
+        for rest, g, faces, replay in skeleton:
+            column = {rest: values[g]}
+            if replay:
+                for row, c in faces:
+                    _add_coeff(column, row, c)
+            else:
+                column.update(faces)
+            columns.append(column)
+        return columns
+    # Per element g and basis vector e_a: a and the entries of w(g)·g⁻¹·e_a.
+    n = coefficients.underlying.ngens
+    units = list(enumerate(IntMatrix.identity(n).data))
+    twist = [[(a, [(b, w(g) * c) for b, c in enumerate(
+        coefficients.act(group.inv(g), unit)) if c]) for a, unit in units]
+        for g in range(group.order)]
     for rest, g, faces, replay in skeleton:
         for a, first in twist[g]:
             column = {}
@@ -298,9 +308,7 @@ def twisted_chain_columns(group: FiniteGroup, w: OrientationChar, k: int,
                 for row, c in faces:
                     _add_coeff(column, row * n + a, c)
             else:
-                # For n = 1 the face rows are the skeleton's own.
-                column.update(faces if n == 1 else
-                              [(row * n + a, c) for row, c in faces])
+                column.update((row * n + a, c) for row, c in faces)
             columns.append(column)
     return columns
 
@@ -323,7 +331,9 @@ def periodic_generator(group: FiniteGroup) -> int:
 
 def periodic_resolution(group: FiniteGroup, length: int) -> Resolution:
     """The rank-one two-periodic resolution for a cyclic group: generator
-    minus identity in odd degrees, the full element sum in even degrees."""
+    minus identity in odd degrees, the full element sum in even degrees.
+    Homology reads its one twisted entry per degree without building it;
+    the resolution is built for stored-resolution callers and the tests."""
     t = periodic_generator(group)
     order = group.order
     minus_one = [0] * order

@@ -101,6 +101,34 @@ def test_from_factors_normalizes_random_factor_lists():
         assert a.invariant_factors() == fresh.invariant_factors(), factors
 
 
+def test_from_factors_writes_its_rows_only_when_read(monkeypatch):
+    """``relations`` holds the rows ``from_factors`` wrote eagerly before:
+    one per factor, the factor on its generator after the free ones; and
+    neither construction nor equality, hash, description and invariants
+    build a matrix."""
+    rng = random.Random(27)
+    pool = [0, 1, -1, 2, -2, 3, 4, 6, 12]
+    for _ in range(100):
+        rank = rng.randint(0, 3)
+        factors = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+        n = rank + len(factors)
+        with monkeypatch.context() as patch:
+            def refuse(*args, **kwargs):
+                raise AssertionError("a matrix was built")
+
+            patch.setattr(IntMatrix, "__init__", refuse)
+            a = AbelianPresentation.from_factors(rank, factors)
+            b = AbelianPresentation.from_factors(rank, factors)
+            assert a == b and hash(a) == hash(b)
+            assert a.describe() == b.describe()
+            assert a.invariant_factors() == b.invariant_factors()
+        eager = [[d if j == rank + i else 0 for j in range(n)]
+                 for i, d in enumerate(factors)]
+        assert a.relations == IntMatrix.from_rows(eager, cols=n), factors
+        assert a.relations is a.relations
+        assert a.ngens == n
+
+
 def test_canonical_coordinates_fill_the_invariants():
     """The invariants read off by the canonical-coordinate diagonal equal
     those of a fresh presentation that never computed coordinates."""

@@ -42,6 +42,7 @@ from gammalab.groups import (
     subgroup_and_cosets,
     _extend_automorphism,
 )
+from gammalab.homology import homology_orbits
 
 
 def nontrivial_char(group):
@@ -554,6 +555,36 @@ def test_automorphism_enumeration_is_charged_before_any_tuple(name,
     with pytest.raises(BudgetExceededError, match=message):
         automorphisms_preserving(group, OrientationChar.trivial(group),
                                  budget=charge - 1)
+
+
+def test_automorphisms_are_kept_per_group_and_character(monkeypatch):
+    """A second call reads the kept lists: no image tuple is walked and no
+    closure modulo Inn is taken again, the answers are the same, and the
+    charge is still checked first.  A kept list handed out can be changed
+    without reaching the group."""
+    group = quaternion_group()
+    characters = all_characters(group)
+    first = [(automorphisms_preserving(group, w),
+              homology_orbits(group, w, 1)) for w in characters]
+    everything = automorphisms(group)
+
+    def refuse(*args):
+        raise AssertionError("kept work was done again")
+
+    monkeypatch.setattr(groups, "_extend_automorphism", refuse)
+    monkeypatch.setattr(groups, "generators_modulo_inner", refuse)
+    for w, (auts, report) in zip(characters, first):
+        again = homology_orbits(group, w, 1)
+        assert automorphisms_preserving(group, w) == auts
+        assert (again.automorphism_count, again.orbit_count,
+                again.orbits) == (report.automorphism_count,
+                                  report.orbit_count, report.orbits)
+    handed = automorphisms(group)
+    handed.clear()
+    assert automorphisms(group) == everything
+    charge = BUNDLED_AUTOMORPHISM_CHARGES["q8"][0]
+    with pytest.raises(BudgetExceededError, match=f"cost {charge} exceeds"):
+        automorphisms_preserving(group, characters[0], budget=charge - 1)
 
 
 def test_automorphisms_preserving_character():

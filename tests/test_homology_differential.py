@@ -13,7 +13,9 @@ path it replaced, which stays in the package as the oracle:
   that ``invariant_factors`` runs no sparse elimination;
 * the eliminations ``eliminate_units`` records, replayed on random
   vectors, against membership in the column lattice (``SNFSolver``), and
-  its remainder against the cokernel of the whole matrix;
+  its remainder rows against the cokernel of the whole matrix; remainders
+  that are empty, one row, one column or larger, handed on uncopied to
+  the dense tail and to ``Cokernel``, against ``smith_normal_form``;
 * the sparse twisted bar columns against
   ``chain_resolution(...).twisted_matrix(k, w)``;
 * the columns of the bar ``d_{k+1}`` whose tuple ends in a generating set,
@@ -27,11 +29,16 @@ path it replaced, which stays in the package as the oracle:
   and solves) on every bundled (group, character, degree) within
   :data:`BUDGET`, with every provider that applies.  The oracle reads both
   ``d_k`` and ``d_{k+1}``, so it also checks that ``H_k`` has no free part
-  for ``k >= 1``, which ``group_homology`` takes as given.
+  for ``k >= 1``, which ``group_homology`` takes as given;
+* the cyclic provider's one twisted entry of the periodic ``d_{k+1}``
+  against the Smith normal form of the built periodic resolution on
+  ``Z/n`` for ``n = 1..16``, its orbit reports against those of the built
+  resolution and of the bar route.
 
 The last tests pin that ``group_homology`` builds ``d_{k+1}`` alone, once,
 and on the bar route only the columns the lemma keeps, the same columns
-``induced_homology_maps`` reads.
+``induced_homology_maps`` reads; a stored resolution is twisted in the two
+degrees read, and the cyclic route builds and twists none.
 """
 
 import itertools
@@ -40,16 +47,17 @@ import random
 
 import pytest
 
-from gammalab import homology, intmat
+from gammalab import homology, intmat, resolutions
 from gammalab.abelian import AbelianPresentation
 from gammalab.builtins import (cyclic_group, direct_product,
                                klein_four_group, standard_library)
-from gammalab.errors import BudgetExceededError, IncompatibleInputError
+from gammalab.errors import (BudgetExceededError, IncompatibleInputError,
+                             UnsupportedInputError)
 from gammalab.gamma import quadratic_value
 from gammalab.groups import FiniteGroup, OrientationChar, all_characters
-from gammalab.homology import (MAX_DEGREE, group_homology,
+from gammalab.homology import (MAX_DEGREE, group_homology, homology_orbits,
                                homology_with_basis, induced_homology_maps)
-from gammalab.intmat import (IntMatrix, SNFSolver,
+from gammalab.intmat import (Cokernel, IntMatrix, SNFSolver,
                              dense_elementary_divisors, elementary_divisors,
                              eliminate_units, from_sparse_columns,
                              replay_eliminations, smith_normal_form,
@@ -236,12 +244,12 @@ def test_replayed_eliminations_stay_in_the_cokernel_class():
         pivots = [row for row, _, _ in eliminations]
         assert len(set(pivots)) == len(pivots)
         assert not set(pivots) & set(kept) and kept == sorted(kept)
-        # The remainder, plus one free generator per surviving zero row,
-        # presents the cokernel of the whole matrix.
+        # The remainder, one relation row per surviving column, plus one
+        # free generator per surviving zero row, presents the cokernel of
+        # the whole matrix.
         whole = AbelianPresentation.from_relation_rows(
             rows, [m.column(j) for j in range(cols)])
-        part = AbelianPresentation.from_relation_rows(
-            len(kept), [rest.column(j) for j in range(rest.cols)])
+        part = AbelianPresentation.from_relation_rows(len(kept), rest)
         zero_rows = rows - len(pivots) - len(kept)
         assert whole.invariant_factors() == \
             (part.rank + zero_rows, part.torsion), m
@@ -257,6 +265,52 @@ def test_replayed_eliminations_stay_in_the_cokernel_class():
                                     for i, c in enumerate(x)]), (m, x)
             assert whole.to_canonical(x) == whole.to_canonical(
                 [reduced.get(i, 0) for i in range(rows)]), (m, x)
+
+
+def remainder_shape(rest, rows):
+    """Which tail ``eliminate_units`` hands its remainder to."""
+    if not rest:
+        return "empty"
+    if len(rest) == 1:
+        return "one row"
+    return "one column" if len(rows) == 1 else "general"
+
+
+def test_remainder_handoff_matches_smith_normal_form():
+    """Random sparse columns whose unit-free remainder is empty, one row,
+    one column or at least two of each, plus inputs that are empty from
+    the start: ``elementary_divisors`` hands the remainder's rows to the
+    tail, and ``Cokernel`` hands them to ``smith_normal_form``, with
+    neither a copy nor a transpose in between."""
+    rng = random.Random(20261021)
+    families = [(-1, 1), (-1, 1, 2), (-2, 2, 3, 4, 6), (-3, -1, 1, 2, 4)]
+    shapes = {"empty": 0, "one row": 0, "one column": 0, "general": 0}
+    cases = [(0, []), (0, [{}, {}]), (3, []), (3, [{}, {0: 0}])]
+    for trial in range(2000):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        m = random_matrix(rng, nrows, ncols, families[trial % 4],
+                          rng.choice((0.2, 0.4, 0.7)))
+        cases.append((nrows, sparse_columns(m)))
+    for nrows, columns in cases:
+        _, rows, rest = eliminate_units(nrows, columns)
+        assert all(len(row) == len(rows) and any(row) for row in rest)
+        shapes[remainder_shape(rest, rows)] += 1
+        dense = from_sparse_columns(nrows, columns)
+        diagonal = smith_normal_form(dense).diagonal
+        assert elementary_divisors(nrows, columns) == diagonal, dense
+        coker = Cokernel(nrows, columns)
+        assert (coker.rank, coker.torsion) == (
+            nrows - sum(1 for d in diagonal if d),
+            tuple(d for d in diagonal if d > 1)), dense
+        for column in columns:
+            assert coker.coordinates(column) == (
+                (0,) * coker.rank, (0,) * len(coker.torsion)), dense
+        free = [rng.randint(-3, 3) for _ in range(coker.rank)]
+        torsion = [rng.randrange(d) for d in coker.torsion]
+        lift = coker.lift(free, torsion)
+        assert coker.coordinates(dict(enumerate(lift))) == (
+            tuple(free), tuple(torsion)), dense
+    assert min(shapes.values()) >= 40, shapes
 
 
 def test_elementary_divisors_degenerate_shapes():
@@ -461,6 +515,64 @@ def test_group_homology_matches_kernel_modulo_image():
     assert count >= 60
 
 
+def periodic_oracle_differential(group, w, k, provider, budget, resolution):
+    """``d_{k+1}`` as the periodic route read it before it took the one
+    entry: the whole resolution built, then twisted."""
+    res = periodic_resolution(group, k + 1)
+    return res.ranks[k], sparse_columns(res.twisted_matrix(k + 1, w))
+
+
+def orbit_fields(report):
+    return (report.presentation.invariant_factors(), report.free_rank,
+            report.automorphism_count, report.orbit_count, report.orbits)
+
+
+def test_periodic_scalar_route_matches_the_periodic_resolution(monkeypatch):
+    """The cyclic provider's one twisted entry against the Smith normal form
+    of the periodic resolution's ``d_{k+1}``, twisted, on ``Z/n`` for ``n =
+    1..16``; its orbit reports against those of the built resolution, and
+    against the bar route where that is cheap."""
+    checked = 0
+    for n in range(1, 17):
+        group = cyclic_group(n)
+        res = periodic_resolution(group, MAX_DEGREE + 1)
+        for w in all_characters(group):
+            for k in range(MAX_DEGREE + 1):
+                label = (n, w.values, k)
+                diagonal = smith_normal_form(
+                    res.twisted_matrix(k + 1, w)).diagonal
+                rank = res.ranks[0] - sum(1 for d in diagonal if d) \
+                    if k == 0 else 0
+                assert group_homology(group, w, k, provider="cyclic")\
+                    .invariant_factors() == (
+                        rank, tuple(d for d in diagonal if d > 1)), label
+                got = orbit_fields(homology_orbits(group, w, k,
+                                                   provider="cyclic"))
+                with monkeypatch.context() as patch:
+                    patch.setattr(homology, "_twisted_differential",
+                                  periodic_oracle_differential)
+                    assert got == orbit_fields(homology_orbits(
+                        group, w, k, provider="cyclic")), label
+                if (n - 1) ** k <= 400:
+                    bar = homology_orbits(group, w, k, provider="bar",
+                                          budget=None)
+                    assert (got[3], sorted(size for _, size in got[4])) == (
+                        bar.orbit_count,
+                        sorted(size for _, size in bar.orbits)), label
+                checked += 1
+    assert checked == 5 * sum(len(all_characters(cyclic_group(n)))
+                              for n in range(1, 17))
+
+
+def test_periodic_route_still_refuses_a_group_that_is_not_cyclic():
+    klein4 = klein_four_group()
+    w = OrientationChar.trivial(klein4)
+    message = "periodic resolution requires a cyclic group"
+    for reader in (group_homology, induced_homology_maps, homology_orbits):
+        with pytest.raises(UnsupportedInputError, match=message):
+            reader(klein4, w, 1, provider="cyclic")
+
+
 def test_budget_fires_where_the_chain_resolution_would():
     for name, group in sorted(standard_library().items()):
         w = OrientationChar.trivial(group)
@@ -559,7 +671,14 @@ def test_stored_resolution_twists_each_differential_once(monkeypatch):
     got = group_homology(z4, w, 3, resolution=res)
     assert got.invariant_factors() == (0, (4,))
     assert sorted(asked) == [3, 4]
-    # The package's own periodic resolution is not checked again.
+    # The package's own periodic route builds and twists nothing.
     asked.clear()
+
+    def refuse(group, length):
+        raise AssertionError("the periodic route built a resolution")
+
+    monkeypatch.setattr(resolutions, "periodic_resolution", refuse)
+    monkeypatch.setattr(homology, "periodic_resolution", refuse,
+                        raising=False)
     assert group_homology(z4, w, 3, provider="cyclic") == got
-    assert asked == [4]
+    assert asked == []

@@ -162,12 +162,11 @@ def hermitian_closure(group: FiniteGroup, w: OrientationChar,
 
 class QuadraticTwoType:
     """A group with orientation character, a free module over its group
-    ring, and a pairing on that module; the k-invariant is carried only as a
-    trivial flag and nontrivial ones are rejected."""
+    ring, and a pairing on that module.  Only trivial k-invariants are
+    modelled, so the k-invariant is neither passed nor stored."""
 
     def __init__(self, group: FiniteGroup, w: OrientationChar,
-                 pi2: ZPiModule, form: HermitianForm,
-                 k_invariant_trivial: bool = True):
+                 pi2: ZPiModule, form: HermitianForm):
         if w.group is not group:
             raise IncompatibleInputError(
                 "orientation character belongs to a different group")
@@ -178,9 +177,6 @@ class QuadraticTwoType:
         if form.w != w:
             raise IncompatibleInputError(
                 "form was built for a different orientation character")
-        if not k_invariant_trivial:
-            raise UnsupportedInputError(
-                "only trivial k-invariants are supported")
         if pi2.zpi_free_rank is None:
             raise UnsupportedInputError(
                 "the degree-two module must be free over the group ring")
@@ -192,7 +188,6 @@ class QuadraticTwoType:
         self.w = w
         self.pi2 = pi2
         self.form = form
-        self.k_invariant_trivial = True
 
     @classmethod
     def from_form(cls, group: FiniteGroup, w: OrientationChar,

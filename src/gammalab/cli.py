@@ -31,7 +31,7 @@ from .gamma import basis_labels, quadratic_value
 from .golden import run_golden_suite
 from .homology import MAX_DEGREE, group_homology, homology_orbits
 from .modules import tor_one, twisted_coinvariants
-from .resolutions import DEFAULT_BUDGET, Resolution
+from .resolutions import DEFAULT_BUDGET
 from .serialize import (load_document, load_group, load_module, load_form,
                         load_resolution, parse_presentation, resolve_input)
 
@@ -63,14 +63,8 @@ def _build_parsers():
                                f"computations (default {DEFAULT_BUDGET}; "
                                f"the {BUDGET_ENV} environment variable "
                                "overrides the default)")
-    budgeted.add_argument("--resolution",
-                          choices=("auto", "bar", "cyclic", "file"),
-                          default="auto",
-                          help="resolution provider; 'file' reads "
-                               "--resolution-file")
-    budgeted.add_argument("--resolution-file", default=None,
-                          help="stored resolution to use with "
-                               "--resolution file")
+    budgeted.add_argument("--resolution", choices=("auto", "bar", "cyclic"),
+                          default="auto", help="resolution provider")
     grouped = argparse.ArgumentParser(add_help=False)
     grouped.add_argument("--group", required=True,
                          help="group file path or bundled group name")
@@ -107,9 +101,9 @@ def _build_parsers():
         help="twisted group homology in one degree")
     p_hom.add_argument("--degree", type=int, required=True,
                        help=f"homology degree (0..{MAX_DEGREE})")
-    p_hom.add_argument("--orbits", action="store_true",
-                       help="also count torsion classes up to sign and "
-                            "automorphisms")
+    p_hom.add_argument("--resolution-file", default=None,
+                       help="stored resolution file to read in place of a "
+                            "provider")
     p_hom.set_defaults(func=cmd_homology)
 
     p_census = sub.add_parser(
@@ -162,20 +156,6 @@ def _load_group_and_character(args):
             f"{path}: no character named '{args.character}'; available: "
             + ", ".join(sorted(characters)))
     return group, characters[args.character]
-
-
-def _load_resolution_choice(args, group) -> Optional[Resolution]:
-    """Returns a loaded resolution for --resolution file, otherwise None;
-    the provider string stays in ``args.resolution``."""
-    if args.resolution == "file":
-        if not args.resolution_file:
-            raise ParseError(
-                "--resolution file needs --resolution-file PATH")
-        return load_resolution(args.resolution_file, group)
-    if args.resolution_file:
-        raise ParseError(
-            "--resolution-file only applies with --resolution file")
-    return None
 
 
 def _presentation_doc(value) -> Dict:
@@ -288,26 +268,18 @@ def cmd_tor1(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    if args.resolution_file is not None and args.resolution != "auto":
+        raise ParseError(f"--resolution {args.resolution} picks a provider; "
+                         "drop it to read --resolution-file")
     group, w = _load_group_and_character(args)
     budget = _resolve_budget(args)
-    stored = _load_resolution_choice(args, group)
-    report = None
-    if args.orbits:
-        report = _orbit_report(args, group, w, budget, stored)
-        pres = report.presentation
-    else:
-        provider = "auto" if stored is not None else args.resolution
-        pres = group_homology(group, w, args.degree, provider=provider,
-                              budget=budget, resolution=stored)
-    lines = [f"H_{args.degree} = {pres.describe()}"]
-    doc: Dict = {"degree": args.degree,
-                 "homology": _presentation_doc(pres)}
-    if report is not None:
-        lines.append(f"torsion classes up to sign and automorphisms: "
-                     f"{report.orbit_count}")
-        doc["orbit_count"] = report.orbit_count
-        doc["automorphism_count"] = report.automorphism_count
-    _emit(args, lines, doc)
+    stored = None
+    if args.resolution_file is not None:
+        stored = load_resolution(args.resolution_file, group)
+    pres = group_homology(group, w, args.degree, provider=args.resolution,
+                          budget=budget, resolution=stored)
+    _emit(args, [f"H_{args.degree} = {pres.describe()}"],
+          {"degree": args.degree, "homology": _presentation_doc(pres)})
     return 0
 
 
@@ -397,19 +369,10 @@ def cmd_census(args) -> int:
     return 0
 
 
-def _orbit_report(args, group, w, budget, stored):
-    if stored is not None:
-        raise UnsupportedInputError(
-            "orbit counting picks its own resolution; drop "
-            "--resolution file")
-    return homology_orbits(group, w, args.degree, provider=args.resolution,
-                           budget=budget)
-
-
 def cmd_orbit(args) -> int:
     group, w = _load_group_and_character(args)
-    report = _orbit_report(args, group, w, _resolve_budget(args),
-                           _load_resolution_choice(args, group))
+    report = homology_orbits(group, w, args.degree, provider=args.resolution,
+                             budget=_resolve_budget(args))
     lines = [
         f"H_{args.degree} = {report.presentation.describe()}",
         f"free rank (identified only up to sign) = {report.free_rank}",

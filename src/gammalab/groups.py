@@ -47,6 +47,7 @@ class FiniteGroup:
         self.labels = tuple(str(l) for l in labels)
         self._generators: Optional[Tuple[int, ...]] = None
         self._bar_generators: Optional[Tuple[int, ...]] = None
+        self._is_cyclic: Optional[bool] = None
         self.bar_skeletons: Dict[Tuple[int, Optional[Tuple[int, ...]]],
                                  list] = {}
         self.symmetric_gathers: Dict[int, Tuple[list, list]] = {}
@@ -120,7 +121,12 @@ class FiniteGroup:
                    for a in range(self.order) for b in range(self.order))
 
     def is_cyclic(self) -> bool:
-        return any(self.element_order(a) == self.order for a in range(self.order))
+        """Whether some element has the group's order, found once per
+        group."""
+        if self._is_cyclic is None:
+            self._is_cyclic = any(self.element_order(a) == self.order
+                                  for a in range(self.order))
+        return self._is_cyclic
 
     def center(self) -> List[int]:
         return [a for a in range(self.order)

@@ -22,9 +22,10 @@ Conventions
   one takes an unlogged diagonalization that takes unit pivots first and
   drops each row that becomes zero, then the divisibility order by
   ``divisor_chain``.  The relation rows of a presentation go to the tail
-  as they stand.  ``elementary_divisors`` is the sparse route: it
-  eliminates the unit pivots of sparse columns, picked to keep fill-in
-  low, and hands the tail the remainder's rows, uncopied, when any
+  as they stand.  ``elementary_divisors`` is the sparse route: it reads a
+  one-row or one-column matrix as the gcd of its entries at once, and
+  otherwise eliminates the unit pivots of sparse columns, picked to keep
+  fill-in low, and hands the tail the remainder's rows, uncopied, when any
   survive.  It serves the bar differentials of homology (up to 2,401 x
   4,802, where a dense pass would take cubic time), the one entry of a
   periodic differential, stored resolutions, ``Resolution.validate`` and
@@ -842,18 +843,23 @@ def dense_elementary_divisors(rows: Sequence[Sequence[int]],
 
 def _used_up_divisors(rows: List[List[int]], length: int) -> List[int]:
     """:func:`dense_elementary_divisors` of rows it may use up.  A matrix of
-    one row or one column has one divisor, the gcd of its entries; a larger
-    one goes to :func:`_diagonalize`.  :func:`divisor_chain` puts the
-    diagonal in divisibility order, and ones and zeros pad it to
-    ``length``."""
-    if len(rows) > 1 and len(rows[0]) > 1:
-        diagonal = _diagonalize(rows)
-    else:
-        g = math.gcd(*chain.from_iterable(rows))
-        diagonal = [g] if g else []
+    one row or one column goes to :func:`_gcd_divisors`; a larger one goes
+    to :func:`_diagonalize`, :func:`divisor_chain` puts the diagonal in
+    divisibility order, and ones and zeros pad it to ``length``."""
+    if len(rows) <= 1 or len(rows[0]) <= 1:
+        return _gcd_divisors(chain.from_iterable(rows), length)
+    diagonal = _diagonalize(rows)
     divisors = divisor_chain(diagonal)
     ones = len(diagonal) - len(divisors)
     return [1] * ones + divisors + [0] * (length - len(diagonal))
+
+
+def _gcd_divisors(entries: Iterable[int], length: int) -> List[int]:
+    """The Smith normal form diagonal, padded with zeros to ``length``
+    entries, of a matrix of one row or one column with the given entries:
+    their gcd, if it is not zero."""
+    g = math.gcd(*entries)
+    return [g] + [0] * (length - 1) if g else [0] * length
 
 
 def elementary_divisors(nrows: int, columns: Sequence[Mapping[int, int]]) -> List[int]:
@@ -861,11 +867,17 @@ def elementary_divisors(nrows: int, columns: Sequence[Mapping[int, int]]) -> Lis
     whose ``j``-th column has the nonzero entries ``columns[j]`` (row ->
     value); the same list as ``smith_normal_form(M).diagonal``.
 
-    :func:`eliminate_units` contributes a divisor ``1`` per unit pivot, and
-    the dense tail of :func:`dense_elementary_divisors` finishes the
-    remainder's rows, which nothing else reads, so they are not copied;
-    with no remainder the rest of the diagonal is zeros.
+    A matrix of one row or one column is read as the gcd of its entries,
+    with no elimination.  Otherwise :func:`eliminate_units` contributes a
+    divisor ``1`` per unit pivot, and the dense tail of
+    :func:`dense_elementary_divisors` finishes the remainder's rows, which
+    nothing else reads, so they are not copied; with no remainder the rest
+    of the diagonal is zeros.
     """
+    if nrows <= 1 or len(columns) <= 1:
+        return _gcd_divisors(
+            chain.from_iterable(col.values() for col in columns),
+            min(nrows, len(columns)))
     eliminations, _, rest = eliminate_units(nrows, columns)
     units = len(eliminations)
     length = min(nrows, len(columns)) - units

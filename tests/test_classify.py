@@ -404,10 +404,6 @@ def test_two_type_validation():
     # Non-free second homotopy module.
     with pytest.raises(UnsupportedInputError):
         QuadraticTwoType(z2, w, trivial_module(z2), form)
-    # Nontrivial first Postnikov invariant is out of scope.
-    with pytest.raises(UnsupportedInputError):
-        QuadraticTwoType(z2, w, free_module(z2, 1), form,
-                         k_invariant_trivial=False)
     # Character from another instance of the same group.
     other = cyclic_group(2)
     with pytest.raises(IncompatibleInputError):

@@ -226,46 +226,43 @@ def test_orbit_budget_charges_the_automorphism_enumeration(capsys):
     assert err.endswith("error: unrecognized arguments: --aut-cap 5\n")
 
 
-def test_homology_orbits_flag(capsys):
-    code, out, _ = run_cli(capsys, ["homology", "--group", "z3",
-                                    "--degree", "3", "--orbits"])
-    assert code == 0
-    assert out == ("H_3 = Z/3\n"
-                   "torsion classes up to sign and automorphisms: 2\n")
-
-
 def test_homology_with_stored_resolution(tmp_path, capsys):
     path = write_json(tmp_path, "res.json", resolution_doc(5))
     code, out, _ = run_cli(capsys, ["homology", "--group", "z2",
                                     "--degree", "3",
-                                    "--resolution", "file",
                                     "--resolution-file", path])
     assert code == 0
     assert out == "H_3 = Z/2\n"
 
 
 def test_stored_resolution_flag_errors(tmp_path, capsys):
-    code, _, err = run_cli(capsys, ["homology", "--group", "z2",
-                                    "--degree", "3",
-                                    "--resolution", "file"])
-    assert code == 2 and "--resolution-file" in err
     path = write_json(tmp_path, "res.json", resolution_doc(5))
-    code2, _, err2 = run_cli(capsys, ["homology", "--group", "z2",
+    argv = ["homology", "--group", "z2", "--degree", "3",
+            "--resolution-file", path]
+    assert run_cli(capsys, argv) == (0, "H_3 = Z/2\n", "")
+    code, out, err = run_cli(capsys, argv + ["--resolution", "bar"])
+    assert (code, out) == (2, "")
+    assert err == ("error: --resolution bar picks a provider; drop it to "
+                   "read --resolution-file\n")
+    code, out, err = run_cli(capsys, ["homology", "--group", "z2",
                                       "--degree", "3",
-                                      "--resolution-file", path])
-    assert code2 == 2 and "--resolution file" in err2
-    code3, _, err3 = run_cli(capsys, ["homology", "--group", "z2",
-                                      "--degree", "3", "--orbits",
-                                      "--resolution", "file",
-                                      "--resolution-file", path])
-    assert code3 == 2 and "orbit counting picks its own resolution" in err3
+                                      "--resolution", "file"])
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'file'" in err
+    # orbit reads no stored resolution, so the missing file is never read.
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli(capsys, ["orbit", "--group", "z2",
+                                      "--degree", "3",
+                                      "--resolution-file", missing])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --resolution-file "
+                        + missing + "\n")
 
 
 def test_short_stored_resolution_is_a_parse_error(tmp_path, capsys):
     path = write_json(tmp_path, "res.json", resolution_doc(3))
     code, _, err = run_cli(capsys, ["homology", "--group", "z2",
                                     "--degree", "3",
-                                    "--resolution", "file",
                                     "--resolution-file", path])
     assert code == 2
     assert "must reach degree 5" in err
@@ -291,15 +288,14 @@ def test_orbit_command_structured(capsys):
 
 def test_orbit_budget_exits_one(capsys):
     # H_3(Z/6) = Z/6 with two automorphisms: orbit cost 6 x (1 + 2 x 2).
-    for argv in (["orbit", "--group", "z6", "--degree", "3"],
-                 ["homology", "--group", "z6", "--degree", "3", "--orbits"]):
-        code, out, _ = run_cli(capsys, argv + ["--budget", "30"])
-        assert code == 0 and out
-        code, out, err = run_cli(capsys, argv + ["--budget", "29"])
-        assert code == 1 and out == ""
-        assert err.startswith("error: orbit enumeration cost 30 exceeds "
-                              "budget 29 (torsion order 6")
-        assert "2 character-preserving automorphisms" in err
+    argv = ["orbit", "--group", "z6", "--degree", "3"]
+    code, out, _ = run_cli(capsys, argv + ["--budget", "30"])
+    assert code == 0 and out
+    code, out, err = run_cli(capsys, argv + ["--budget", "29"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: orbit enumeration cost 30 exceeds "
+                          "budget 29 (torsion order 6")
+    assert "2 character-preserving automorphisms" in err
 
 
 def test_coinvariants_budget_counts_each_route(tmp_path, capsys, monkeypatch):

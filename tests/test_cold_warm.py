@@ -81,9 +81,6 @@ def bundled_argvs():
         _, chars = load_group(bundled_path("group", name))
         for char in sorted(chars):
             head = ["--group", name, "--character", char]
-            for degree in (1, 2):
-                argvs.append(["homology"] + head + ["--degree", str(degree),
-                                                    "--orbits"])
             for degree in range(MAX_DEGREE + 1):
                 argvs.append(["orbit"] + head + ["--degree", str(degree)])
                 argvs += [["homology"] + head + ["--degree", str(degree),

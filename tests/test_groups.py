@@ -25,6 +25,7 @@ from gammalab.errors import (
     BudgetExceededError,
     GroupValidationError,
     IncompatibleInputError,
+    UnsupportedInputError,
 )
 from gammalab import groups
 from gammalab.groups import (
@@ -43,6 +44,7 @@ from gammalab.groups import (
     _extend_automorphism,
 )
 from gammalab.homology import homology_orbits
+from gammalab.resolutions import periodic_generator
 
 
 def nontrivial_char(group):
@@ -220,6 +222,33 @@ def test_direct_product_structure():
     assert z2xz3.is_cyclic()
     k4 = direct_product(cyclic_group(2), cyclic_group(2))
     assert k4.order == 4 and not k4.is_cyclic()
+
+
+def test_is_cyclic_exactly_when_a_periodic_generator_exists(monkeypatch):
+    """``is_cyclic`` answers as ``periodic_generator`` does, and the answer
+    is kept on the group: asking again walks no element order."""
+    cases = sorted(standard_library().items()) + [
+        ("z2xz3", direct_product(cyclic_group(2), cyclic_group(3))),
+        ("z3xz4", direct_product(cyclic_group(3), cyclic_group(4))),
+        ("z2xz4", direct_product(cyclic_group(2), cyclic_group(4))),
+        ("z2xs3", direct_product(cyclic_group(2), symmetric_group_3())),
+        ("z3xz3", direct_product(cyclic_group(3), cyclic_group(3)))]
+    answers = {}
+    for name, group in cases:
+        try:
+            periodic_generator(group)
+            generated = True
+        except UnsupportedInputError:
+            generated = False
+        answers[name] = group.is_cyclic()
+        assert answers[name] == generated, name
+    assert sorted(answers.values()) == [False] * 7 + [True] * 7
+
+    def refuse(self, a):
+        raise AssertionError("is_cyclic walked the element orders again")
+
+    monkeypatch.setattr(FiniteGroup, "element_order", refuse)
+    assert {name: group.is_cyclic() for name, group in cases} == answers
 
 
 # -- orientation characters -------------------------------------------------

@@ -8,7 +8,8 @@ path it replaced, which stays in the package as the oracle:
   on the transpose, and ``invariant_factors`` of the rows against the
   diagonal of the full ``smith_normal_form`` on seeded random matrices,
   scrambled presentations, diagonals that need the gcd/lcm pass (entries
-  above ``2^64`` among them) and degenerate shapes; pins check that
+  above ``2^64`` among them) and degenerate shapes, one row or one
+  column read as a gcd with no elimination among them; pins check that
   ``quadratic_value`` and bar-route homology run no Smith normal form, and
   that ``invariant_factors`` runs no sparse elimination;
 * the eliminations ``eliminate_units`` records, replayed on random
@@ -321,6 +322,34 @@ def test_elementary_divisors_degenerate_shapes():
     # Explicit zeros in a column are ignored.
     assert elementary_divisors(2, [{0: 0, 1: 2}, {0: 4}]) == [2, 4]
     assert elementary_divisors(2, [{0: 2}, {1: 3}]) == [1, 6]
+
+
+def test_one_row_or_one_column_is_read_as_a_gcd(monkeypatch):
+    """A matrix of one row or one column is the gcd of its entries, read
+    before any elimination, whatever its zeros and signs."""
+    def refuse(*args):
+        raise AssertionError("a one-row or one-column matrix was eliminated")
+
+    rng = random.Random(33)
+    cases = [(1, [{0: -4}]), (1, [{0: 0}]), (1, [{}, {}]), (3, [{}]),
+             (1, [{0: -6}, {}, {0: 9}, {0: 0}]),
+             (4, [{0: 0, 1: -10, 3: 15}]), (2, [{0: -1, 1: 0}]),
+             (1, [{0: -3}, {0: -3}]), (5, [{2: 2 ** 70, 4: -(2 ** 69)}])]
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        entries = [rng.choice((-12, -6, -4, -1, 0, 0, 2, 3, 8)) for _ in range(n)]
+        if rng.random() < 0.5:
+            cases.append((1, [{0: v} if rng.random() < 0.8 else {}
+                              for v in entries]))
+        else:
+            cases.append((n, [{i: v for i, v in enumerate(entries)
+                               if v or rng.random() < 0.3}]))
+    expected = [smith_normal_form(from_sparse_columns(nrows, columns)).diagonal
+                for nrows, columns in cases]
+    monkeypatch.setattr(intmat, "eliminate_units", refuse)
+    monkeypatch.setattr(intmat, "_diagonalize", refuse)
+    for (nrows, columns), diagonal in zip(cases, expected):
+        assert elementary_divisors(nrows, columns) == diagonal, columns
 
 
 def test_sparse_columns_round_trip():

@@ -1,5 +1,5 @@
 """Seeded-random malformed inputs through ``gammalab census``, ``orbit``,
-``homology --resolution file`` and ``gamma``.
+``homology --resolution-file`` and ``gamma``.
 
 Each census case starts from a valid group, free module and hermitian form
 file and breaks one of them: wrong types, ragged rows, huge sizes, deep
@@ -321,7 +321,7 @@ def test_junk_in_the_last_entry_is_named(target, junk, tmp_path, capsys):
                    f"integer, got {value!r}\n")
 
 
-# -- resolutions through ``gammalab homology --resolution file`` -------------
+# -- resolutions through ``gammalab homology --resolution-file`` -------------
 
 RESOLUTION_GROUPS = {"z2": cyclic_group(2), "z3": cyclic_group(3),
                      "z4": cyclic_group(4)}
@@ -435,8 +435,7 @@ RESOLUTION_KINDS = {"ragged_boundary": ragged_boundary,
 
 def homology_argv(tmp_path, name, text, degree):
     return ["homology", "--group", name, "--degree", str(degree),
-            "--resolution", "file", "--resolution-file",
-            write_file(tmp_path, "resolution", text)]
+            "--resolution-file", write_file(tmp_path, "resolution", text)]
 
 
 def test_valid_resolutions_pass(tmp_path, capsys):

@@ -118,7 +118,7 @@ def test_every_command_writes_what_the_encoder_writes(tmp_path, monkeypatch):
          "--module", "z2_z_plus_ztwist"],
         ["tor1", "--group", "z2", "--module", "z2_regular"],
         ["homology", "--group", "klein4", "--degree", "2"],
-        ["homology", "--group", "z4", "--degree", "3", "--orbits"],
+        ["orbit", "--group", "z4", "--degree", "3"],
         ["orbit", "--group", "z4", "--character", "w", "--degree", "1"],
         ["census", "--group", "z2", "--module", "z2_z_plus_ztwist"],
         ["census", "--group", "z2", "--character", "w", "--module",

@@ -23,8 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .abelian import (AbelianHom, AbelianPresentation, cyclic_invariants,
                       format_invariants)
-from .errors import (BudgetExceededError, IncompatibleInputError,
-                     UnsupportedInputError)
+from .errors import IncompatibleInputError, UnsupportedInputError, charge
 from .intmat import IntMatrix
 from .resolutions import DEFAULT_BUDGET
 
@@ -157,13 +156,9 @@ def quadratic_value(a: AbelianPresentation,
     n = a.ngens
     rank = gamma_rank(n)
     nrows = a.relations.rows * (n + 1)
-    cost = rank * (nrows + 1)
-    if budget is not None and cost > budget:
-        raise BudgetExceededError(
-            f"functor value cost {cost} exceeds budget {budget} (input with "
-            f"{n} generators and {a.relations.rows} relations: rank {rank}, "
-            f"{nrows} relation rows); raise the budget or use a smaller "
-            f"presentation")
+    charge(rank * (nrows + 1), budget, "functor value",
+           lambda: f"input with {n} generators and {a.relations.rows} "
+                   f"relations: rank {rank}, {nrows} relation rows")
     free, torsion = a.invariant_factors()
     orders: List[int] = []
     for i, d in enumerate(torsion):

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import (DEFAULT_BUDGET, BudgetExceededError, GroupValidationError,
-                     IncompatibleInputError)
+from .errors import (DEFAULT_BUDGET, GroupValidationError,
+                     IncompatibleInputError, charge)
 
 
 class FiniteGroup:
@@ -510,11 +510,8 @@ def automorphisms(group: FiniteGroup,
     candidates = [[h for h in range(group.order) if orders[h] == orders[g]]
                   for g in gens]
     tuples = math.prod(map(len, candidates))
-    if budget is not None and tuples * group.order > budget:
-        raise BudgetExceededError(
-            f"automorphism enumeration cost {tuples * group.order} exceeds "
-            f"budget {budget} ({tuples} image tuples times group order "
-            f"{group.order}); raise the budget")
+    charge(tuples * group.order, budget, "automorphism enumeration",
+           lambda: f"{tuples} image tuples times group order {group.order}")
     found = group.automorphism_lists.get(None)
     if found is None:
         found = []

@@ -28,14 +28,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .abelian import AbelianHom, AbelianPresentation
-from .errors import (BudgetExceededError, IncompatibleInputError,
-                     UnsupportedInputError)
+from .errors import IncompatibleInputError, UnsupportedInputError, charge
 from .groups import (FiniteGroup, OrientationChar, automorphisms_preserving,
                      is_automorphism, preserving_generators_modulo_inner)
 from .intmat import (Cokernel, IntMatrix, SNFSolver, elementary_divisors,
                      kernel_basis, sparse_columns)
-from .resolutions import (DEFAULT_BUDGET, Resolution, chain_resolution_ranks,
-                          check_budget, periodic_generator,
+from .resolutions import (DEFAULT_BUDGET, Resolution, periodic_generator,
                           twisted_chain_columns)
 
 MAX_DEGREE = 4
@@ -96,11 +94,11 @@ def _twisted_differential(group: FiniteGroup, w: OrientationChar, k: int,
     degree ``k`` reads.
 
     Without a stored resolution the bar provider builds it straight from
-    tuples, after the budget check the full chain resolution of length
-    ``k + 1`` would make, and only the columns ending in
-    ``group.bar_generators()`` that
+    tuples, only the columns ending in ``T = group.bar_generators()`` that
     :func:`~gammalab.resolutions.twisted_chain_columns` keeps, for homology
-    and orbits alike.  The cyclic provider's periodic resolution has one
+    and orbits alike.  It first charges ``budget`` their bound,
+    ``|T|·(n-1)^k`` columns of at most ``k + 2`` faces each for a group of
+    order ``n``.  The cyclic provider's periodic resolution has one
     entry per degree, ``t - 1`` in odd degrees and the sum of the elements
     in even ones (:func:`~gammalab.resolutions.periodic_resolution`), so
     ``d_{k+1}`` collapses through the character to ``w(t) - 1`` for even
@@ -113,10 +111,12 @@ def _twisted_differential(group: FiniteGroup, w: OrientationChar, k: int,
             "orientation character belongs to a different group")
     if resolution is None:
         if _provider_name(group, provider) == "bar":
-            ranks = chain_resolution_ranks(group.order, k + 1)
-            check_budget(group.order, ranks, budget)
-            return ranks[k], twisted_chain_columns(
-                group, w, k + 1, group.bar_generators())
+            kept, rows = group.bar_generators(), (group.order - 1) ** k
+            charge(len(kept) * rows * (k + 2), budget, "bar homology",
+                   lambda: f"kept columns of d_{k + 1}: {len(kept)} bar "
+                           f"generators times {rows} tuples, at most "
+                           f"{k + 2} faces each")
+            return rows, twisted_chain_columns(group, w, k + 1, kept)
         t = periodic_generator(group)
         return 1, [{0: w(t) - 1 if k % 2 == 0 else sum(w.values)}]
     if resolution.length < k + 1:
@@ -203,30 +203,39 @@ def _homology_action(group: FiniteGroup, w: OrientationChar, k: int,
     """The homology :func:`induced_homology_maps` presents, the
     character-preserving automorphisms, and a function that pushes one of
     them to the columns of the endomorphism it induces.  ``budget`` is
-    charged for the resolution, then for the enumeration."""
-    coker = Cokernel(*_twisted_differential(group, w, k, provider, budget,
-                                            None))
+    charged for the differential, then for the enumeration.
+
+    The periodic ``d_{k+1}`` is one entry ``d``, whose cokernel is read
+    directly: ``Z/|d|`` with coordinate ``sign(d)·x mod |d|``, ``Z`` with
+    coordinate ``x`` for ``d = 0``, nothing for ``|d| = 1``; an
+    automorphism multiplies it by the scalar of its chain map."""
+    nrows, columns = _twisted_differential(group, w, k, provider, budget,
+                                           None)
     auts = automorphisms_preserving(group, w, budget)
+    if _provider_name(group, provider) == "cyclic":
+        d = abs(columns[0].get(0, 0))
+        pres = AbelianPresentation.from_diagonal(
+            [d] if d > 1 else [0] if d == 0 and k == 0 else [])
+
+        def push_scalar(alpha: Sequence[int]) -> List[List[int]]:
+            scalar = _periodic_self_map(group, w, k, alpha)
+            return [[scalar % d if d else scalar]] if pres.ngens else []
+
+        return pres, auts, push_scalar
+    coker = Cokernel(nrows, columns)
     free = coker.rank if k == 0 else 0
     pres = AbelianPresentation.from_diagonal([0] * free + list(coker.torsion))
     hidden = [0] * (coker.rank - free)
     lifts = [{i: c for i, c in enumerate(coker.lift(unit[:free] + hidden,
                                                       unit[free:])) if c}
              for unit in IntMatrix.identity(pres.ngens).data]
-    periodic = _provider_name(group, provider) == "cyclic"
 
     def push(alpha: Sequence[int]) -> List[List[int]]:
-        if periodic:
-            scalar = _periodic_self_map(group, w, k, alpha)
-            perm = range(coker.nrows)
-        else:
-            _check_descends(group, w, alpha)
-            scalar = 1
-            perm = _chain_self_map(group, k, alpha)
+        _check_descends(group, w, alpha)
+        perm = _chain_self_map(group, k, alpha)
         columns = []
         for lift in lifts:
-            f, t = coker.coordinates({perm[i]: scalar * c
-                                      for i, c in lift.items()})
+            f, t = coker.coordinates({perm[i]: c for i, c in lift.items()})
             columns.append(list(f[:free] + t))
         return columns
 
@@ -291,12 +300,9 @@ def homology_orbits(group: FiniteGroup, w: OrientationChar, k: int,
     ``enumerate_torsion`` order, so each orbit is met first at its least."""
     pres, auts, push = _homology_action(group, w, k, provider, budget)
     order = pres.torsion_order()
-    cost = order * (1 + 2 * len(auts))
-    if budget is not None and cost > budget:
-        raise BudgetExceededError(
-            f"orbit enumeration cost {cost} exceeds budget {budget} (torsion "
-            f"order {order} times 1 + 2 x {len(auts)} character-preserving "
-            f"automorphisms); raise the budget")
+    charge(order * (1 + 2 * len(auts)), budget, "orbit enumeration",
+           lambda: f"torsion order {order} times 1 + 2 x {len(auts)} "
+                   "character-preserving automorphisms")
     free, torsion = pres.rank, pres.torsion
     # The torsion rows of each pushed map's torsion columns.
     maps = [list(zip(*push(alpha)[free:]))[free:]

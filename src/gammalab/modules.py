@@ -18,7 +18,7 @@ from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .abelian import AbelianHom, AbelianPresentation
-from .errors import BudgetExceededError, IncompatibleInputError
+from .errors import IncompatibleInputError, charge
 from .groups import FiniteGroup, OrientationChar, SubgroupData
 from .intmat import IntMatrix, elementary_divisors, kernel_basis
 from .resolutions import DEFAULT_BUDGET, twisted_chain_columns
@@ -363,16 +363,13 @@ def check_coinvariants_budget(group: FiniteGroup, ngens: int,
     size times group order on the orbit route (``signed``), relation rows
     times columns on the relation-row route."""
     if signed:
-        cost = ngens * group.order
-        sizes = f"{ngens} basis vectors times group order {group.order}"
+        charge(ngens * group.order, budget, "twisted coinvariants",
+               lambda: f"{ngens} basis vectors times group order "
+                       f"{group.order}")
     else:
         rows = relation_rows + len(group.generating_set()) * ngens
-        cost = rows * ngens
-        sizes = f"{rows} relation rows times {ngens} columns"
-    if budget is not None and cost > budget:
-        raise BudgetExceededError(
-            f"twisted coinvariants cost {cost} ({sizes}) exceeds budget "
-            f"{budget}; raise the budget or use a smaller module")
+        charge(rows * ngens, budget, "twisted coinvariants",
+               lambda: f"{rows} relation rows times {ngens} columns")
 
 
 def _coinvariants_by_orbits(source: AbelianPresentation, w: OrientationChar,
@@ -416,11 +413,8 @@ def check_projection_budget(result: CoinvariantsResult,
     """Refuse coinvariants whose dense projection, ``k·n`` entries for
     ``k`` generators over ``n`` basis vectors, exceeds ``budget``."""
     k, n = len(result.firsts), len(result.orbit)
-    if budget is not None and k * n > budget:
-        raise BudgetExceededError(
-            f"twisted coinvariants projection of {k} orbits by {n} basis "
-            f"vectors ({k * n} entries) exceeds budget {budget}; raise the "
-            "budget or use a smaller module")
+    charge(k * n, budget, "twisted coinvariants projection",
+           lambda: f"{k} orbits by {n} basis vectors")
 
 
 def _check_same_group(module: ZPiModule, w: OrientationChar) -> None:
@@ -455,13 +449,9 @@ def tor_one(module: ZPiModule, w: OrientationChar,
     _check_same_group(module, w)
     order, n = module.group.order, module.underlying.ngens
     cols, rows = order * n, module.underlying.relations.rows
-    cost = cols * (cols + rows)
-    if budget is not None and cost > budget:
-        raise BudgetExceededError(
-            f"first derived functor cost {cost} ({cols} = group order "
-            f"{order} times {n} generators, times {cols} plus {rows} "
-            f"relation rows) exceeds budget {budget}; raise the budget or "
-            "use a smaller module")
+    charge(cols * (cols + rows), budget, "first derived functor",
+           lambda: f"{cols} = group order {order} times {n} generators, "
+                   f"times {cols} plus {rows} relation rows")
     if module.zpi_free_rank is not None:
         return AbelianPresentation.free(0)
     module._validate()

@@ -9,8 +9,8 @@ which is what homology with twisted integer coefficients needs.
 
 Two providers are built in: the normalized inhomogeneous chain resolution,
 which works for every group but grows like ``(order - 1)^k``, and the
-periodic rank-one resolution for cyclic groups.  A cost estimate guards the
-former; exceeding the budget raises with the offending sizes spelled out.
+periodic rank-one resolution for cyclic groups.  The former is charged
+:func:`resolution_cost` before it is built.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .errors import (DEFAULT_BUDGET, BudgetExceededError, IncompatibleInputError,
-                     UnsupportedInputError)
+from .errors import (DEFAULT_BUDGET, IncompatibleInputError,
+                     UnsupportedInputError, charge)
 from .groups import FiniteGroup, OrientationChar
 from .intmat import IntMatrix, elementary_divisors, sparse_columns
 
@@ -129,19 +129,6 @@ def resolution_cost(order: int, ranks: Sequence[int]) -> int:
     return sum(ranks[k - 1] * ranks[k] * order for k in range(1, len(ranks)))
 
 
-def check_budget(order: int, ranks: Sequence[int], budget: Optional[int]) -> None:
-    if budget is None:
-        return
-    cost = resolution_cost(order, ranks)
-    if cost > budget:
-        sizes = " + ".join(f"{ranks[k - 1]}x{ranks[k]}"
-                           for k in range(1, len(ranks)))
-        raise BudgetExceededError(
-            f"resolution cost {cost} exceeds budget {budget} "
-            f"(group order {order}, differential sizes {sizes}); raise the "
-            f"budget or use a smaller resolution")
-
-
 def chain_tuples(group: FiniteGroup, k: int) -> List[Tuple[int, ...]]:
     """The ``k``-tuples of nonidentity elements, in the order in which they
     index the degree-``k`` generators of the chain resolution."""
@@ -214,11 +201,15 @@ def chain_resolution(group: FiniteGroup, length: int,
     :func:`chain_tuples`); the differential is read off
     :func:`bar_skeleton` with every column kept: the drop-first face
     carries ``g_1`` as its ring coefficient, every other face the
-    identity.
+    identity.  Its :func:`resolution_cost` is charged against ``budget``
+    before anything is built.
     """
     order = group.order
     ranks = chain_resolution_ranks(order, length)
-    check_budget(order, ranks, budget)
+    charge(resolution_cost(order, ranks), budget, "resolution",
+           lambda: f"group order {order}, differential sizes "
+                   + " + ".join(f"{ranks[k - 1]}x{ranks[k]}"
+                                for k in range(1, len(ranks))))
     differentials = []
     for k in range(1, length + 1):
         entries: List[List[Dict[int, int]]] = [

@@ -21,7 +21,8 @@ from .classify import HermitianForm
 from .errors import GammaLabError, ParseError
 from .groups import FiniteGroup, OrientationChar, build_group
 from .intmat import IntMatrix
-from .modules import ZPiModule, free_module, signed_permutation_table
+from .modules import (ZPiModule, detect_free_structure,
+                      signed_permutation_table)
 from .resolutions import Resolution
 
 __all__ = [
@@ -215,11 +216,12 @@ def parse_module(doc: dict, group: FiniteGroup,
     kept as its table, read off the rows; its matrices are built on first
     read of ``action``.
 
-    A file with no relations whose table is that of the standard free
-    layout is :func:`~gammalab.modules.free_module`'s module, which is
-    valid by construction: it is returned as such, with its free rank and
-    with no check.  Every other module is checked here, once; a module
-    records that it passed, so nothing checks it again."""
+    A file whose table :func:`~gammalab.modules.detect_free_structure`
+    recognizes as the standard free layout is the module
+    :func:`~gammalab.modules.free_module` builds, valid by construction: it
+    carries its free rank and is not checked.  Every other module is
+    checked here, once; a module records that it passed, so nothing checks
+    it again."""
     underlying = parse_presentation(doc, origin)
     n = underlying.ngens
     raw_action = _require(doc, "action", origin)
@@ -251,14 +253,14 @@ def parse_module(doc: dict, group: FiniteGroup,
     if table is None:
         return ZPiModule(group, underlying, [IntMatrix.from_rows(rows, cols=n)
                                              for rows in action])
-    if not underlying.has_explicit_relations() and n % group.order == 0:
-        free = free_module(group, n // group.order)
-        if table == free.table:
-            # Zero relation rows, if the file has any, stay: the estimate
-            # of ``tor_one`` counts them.
-            free.underlying = underlying
-            return free
-    return ZPiModule(group, underlying, table=table)
+    module = ZPiModule(group, underlying, check=False, table=table)
+    module.zpi_free_rank = detect_free_structure(module)
+    if module.zpi_free_rank is None:
+        module._validate()
+    else:
+        # The standard free layout is free_module's, valid by construction.
+        module._valid = True
+    return module
 
 
 def parse_form(doc: dict, group: FiniteGroup, w: OrientationChar,

@@ -147,9 +147,9 @@ def test_tor1_follows_the_budget_environment_variable(capsys, monkeypatch):
     monkeypatch.setenv("GAMMALAB_BUDGET", "15")
     code, out, err = run_cli(capsys, argv)
     assert code == 1 and out == ""
-    assert ("first derived functor cost 16 (4 = group order 2 times 2 "
-            "generators, times 4 plus 0 relation rows)") in err
-    assert "exceeds budget 15" in err and "Traceback" not in err
+    assert err == ("error: first derived functor cost 16 exceeds budget 15 "
+                   "(4 = group order 2 times 2 generators, times 4 plus 0 "
+                   "relation rows); raise the budget\n")
     monkeypatch.setenv("GAMMALAB_BUDGET", "16")
     assert run_cli(capsys, argv)[:2] == (0, "tor1 = Z/2\n")
 
@@ -172,13 +172,15 @@ def test_homology_rejects_out_of_range_degree(capsys):
 
 
 def test_homology_budget_exhaustion_exits_one(capsys):
-    code, _, err = run_cli(capsys, ["homology", "--group", "s3",
-                                    "--degree", "3"])
-    assert code == 1
-    assert "exceeds budget 250000" in err
-    code2, out2, _ = run_cli(capsys, ["homology", "--group", "s3",
-                                      "--degree", "3",
-                                      "--budget", "600000"])
+    # H_3 of s3 reads the columns of d_4 ending in its two bar generators,
+    # 2 x 5^3 of them with at most 5 faces each: 1,250 units.
+    argv = ["homology", "--group", "s3", "--degree", "3"]
+    code, out, err = run_cli(capsys, argv + ["--budget", "1249"])
+    assert (code, out) == (1, "")
+    assert err == ("error: bar homology cost 1250 exceeds budget 1249 (kept "
+                   "columns of d_4: 2 bar generators times 125 tuples, at "
+                   "most 5 faces each); raise the budget\n")
+    code2, out2, _ = run_cli(capsys, argv + ["--budget", "1250"])
     assert code2 == 0
     assert out2 == "H_3 = Z/6\n"
 
@@ -211,15 +213,16 @@ def test_budget_must_be_positive(capsys):
 
 
 def test_orbit_budget_charges_the_automorphism_enumeration(capsys):
-    """H_0 of d4 needs a resolution of cost 56; its automorphisms, 10 image
-    tuples times 8 elements, cost 80 more, and there is no other knob."""
+    """H_0 of d4 is charged 4 for the columns of d_1 it reads; its
+    automorphisms, 10 image tuples times 8 elements, cost 80, and there is
+    no other knob."""
     argv = ["orbit", "--group", "d4", "--degree", "0"]
     code, out, err = run_cli(capsys, argv + ["--budget", "80"])
     assert code == 0 and "automorphisms = 8\n" in out and err == ""
-    code, out, err = run_cli(capsys, argv + ["--budget", "56"])
+    code, out, err = run_cli(capsys, argv + ["--budget", "79"])
     assert (code, out) == (1, "")
     assert err == ("error: automorphism enumeration cost 80 exceeds budget "
-                   "56 (10 image tuples times group order 8); raise the "
+                   "79 (10 image tuples times group order 8); raise the "
                    "budget\n")
     code, out, err = run_cli(capsys, argv + ["--aut-cap", "5"])
     assert (code, out) == (2, "")
@@ -304,7 +307,8 @@ def test_coinvariants_budget_counts_each_route(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GAMMALAB_BUDGET", "3")
     code, out, err = run_cli(capsys, argv)
     assert code == 1 and out == ""
-    assert "cost 4 (2 basis vectors times group order 2) exceeds budget 3" in err
+    assert err == ("error: twisted coinvariants cost 4 exceeds budget 3 (2 "
+                   "basis vectors times group order 2); raise the budget\n")
     monkeypatch.setenv("GAMMALAB_BUDGET", "4")
     assert run_cli(capsys, argv)[0] == 0
     # Relation-row route: [[1, 0], [1, -1]] is not a signed permutation;
@@ -314,7 +318,9 @@ def test_coinvariants_budget_counts_each_route(tmp_path, capsys, monkeypatch):
     argv = ["coinvariants", "--group", "z2", "--module", module]
     monkeypatch.setenv("GAMMALAB_BUDGET", "3")
     code, _, err = run_cli(capsys, argv)
-    assert code == 1 and "cost 4 (2 relation rows times 2 columns)" in err
+    assert code == 1 and err == (
+        "error: twisted coinvariants cost 4 exceeds budget 3 (2 relation "
+        "rows times 2 columns); raise the budget\n")
     monkeypatch.setenv("GAMMALAB_BUDGET", "4")
     code, out, _ = run_cli(capsys, argv)
     assert code == 0 and out.splitlines()[0] == "coinvariants = Z"
@@ -327,7 +333,8 @@ def test_census_budget_counts_the_functor_value(capsys, monkeypatch):
     monkeypatch.setenv("GAMMALAB_BUDGET", "5")
     code, out, err = run_cli(capsys, argv)
     assert code == 1 and out == ""
-    assert "cost 6 (3 basis vectors times group order 2) exceeds budget 5" in err
+    assert err == ("error: twisted coinvariants cost 6 exceeds budget 5 (3 "
+                   "basis vectors times group order 2); raise the budget\n")
     monkeypatch.setenv("GAMMALAB_BUDGET", "6")
     assert run_cli(capsys, argv)[0] == 0
     assert run_cli(capsys, argv[:-2])[0] == 0

@@ -8,7 +8,8 @@ command that reads them must still print the same bytes: here each argv is
 run once on empty caches (cold) and then twice in one process, in a seeded
 shuffled order, without clearing anything (warm).  The inputs are the
 bundled ones, with homology and orbits in every degree under the bar and
-the automatic provider, and free modules with rank times group order at
+the automatic provider, at the default budget and at one that refuses
+many of them, and free modules with rank times group order at
 most 12, each with two form files per character, written as the census
 benchmark writes them.  The kept walks are also checked directly: a
 refused query keeps none, each group object keeps its own, and one walk
@@ -34,6 +35,9 @@ from gammalab.serialize import bundled_names, bundled_path, load_group
 
 MAX_CELLS = 12
 SEED = 2604
+# The default budget answers every bundled homology and orbit query; this
+# one refuses many of them, so refusals are compared cold and warm too.
+REFUSING_BUDGET = 100
 
 
 def run_cli(argv):
@@ -82,10 +86,11 @@ def bundled_argvs():
         for char in sorted(chars):
             head = ["--group", name, "--character", char]
             for degree in range(MAX_DEGREE + 1):
-                argvs.append(["orbit"] + head + ["--degree", str(degree)])
-                argvs += [["homology"] + head + ["--degree", str(degree),
-                                                 "--resolution", provider]
-                          for provider in ("bar", "auto")]
+                for budget in ([], ["--budget", str(REFUSING_BUDGET)]):
+                    at = head + ["--degree", str(degree)] + budget
+                    argvs.append(["orbit"] + at)
+                    argvs += [["homology"] + at + ["--resolution", provider]
+                              for provider in ("bar", "auto")]
     return argvs
 
 
@@ -137,7 +142,7 @@ def test_bundled_inputs_cold_and_warm():
     cold = check_cold_equals_warm(bundled_argvs())
     codes = [code for code, _, _ in cold.values()]
     assert codes.count(0) >= 100 and codes.count(2) >= 10
-    # Homology and orbits the default budget refuses, compared as well.
+    # Homology and orbits refused at REFUSING_BUDGET, compared as well.
     assert codes.count(1) >= 100
 
 

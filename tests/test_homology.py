@@ -213,10 +213,10 @@ def test_s3_classical_values():
     w = OrientationChar.trivial(s3)
     assert group_homology(s3, w, 1).invariant_factors() == (0, (2,))
     assert group_homology(s3, w, 2).invariant_factors() == (0, ())
-    # Degree three needs a deeper resolution than the default budget allows.
+    # Degree three reads 2 x 5^3 columns of d_4, at most 5 faces each.
     with pytest.raises(BudgetExceededError):
-        group_homology(s3, w, 3)
-    assert group_homology(s3, w, 3, budget=600000)\
+        group_homology(s3, w, 3, budget=1_249)
+    assert group_homology(s3, w, 3, budget=1_250)\
         .invariant_factors() == (0, (6,))
 
 
@@ -227,8 +227,7 @@ def test_s3_sign_twisted_values():
     s3 = symmetric_group_3()
     w = nontrivial_char(s3)
     expected = [(0, (2,)), (0, (3,)), (0, (2,)), (0, ())]
-    got = [group_homology(s3, w, k, budget=600000).invariant_factors()
-           for k in range(4)]
+    got = [group_homology(s3, w, k).invariant_factors() for k in range(4)]
     assert got == expected
 
 
@@ -239,33 +238,29 @@ def test_order_eight_groups_degree_one():
         assert group_homology(group, w, 1).invariant_factors() == (0, (2, 2))
 
 
-# Degree three of an order-eight group needs the chain resolution of length
-# four, which costs 6,725,600 budget units.
-ORDER_EIGHT_DEGREE_THREE_BUDGET = 7_000_000
-
-
 def test_quaternion_group_degree_three():
     q8 = quaternion_group()
     w = OrientationChar.trivial(q8)
-    got = group_homology(q8, w, 3, budget=ORDER_EIGHT_DEGREE_THREE_BUDGET)
+    got = group_homology(q8, w, 3)
     assert got.invariant_factors() == (0, (8,))
 
 
 def test_quaternion_group_degree_four():
-    # Period four: H_4(Q8; Z) = H^5(Q8; Z) = 0.  The chain resolution of
-    # length five costs 329,554,456 budget units.
+    # Period four: H_4(Q8; Z) = H^5(Q8; Z) = 0.  Bar homology reads the
+    # columns of d_5 ending in the two bar generators, 2 x 7^4 of them with
+    # at most 6 faces each: 28,812 budget units.
     q8 = quaternion_group()
     w = OrientationChar.trivial(q8)
     with pytest.raises(BudgetExceededError):
-        group_homology(q8, w, 4, budget=329_554_455)
-    got = group_homology(q8, w, 4, budget=329_554_456)
+        group_homology(q8, w, 4, budget=28_811)
+    got = group_homology(q8, w, 4, budget=28_812)
     assert got.invariant_factors() == (0, ())
 
 
 def test_dihedral_group_degree_three():
     d4 = dihedral_group_4()
     w = OrientationChar.trivial(d4)
-    got = group_homology(d4, w, 3, budget=ORDER_EIGHT_DEGREE_THREE_BUDGET)
+    got = group_homology(d4, w, 3)
     assert got.invariant_factors() == (0, (2, 2, 4))
 
 
@@ -368,18 +363,22 @@ def test_orbit_budget_counts_torsion_order_and_automorphisms():
     assert "2 character-preserving automorphisms" in message
 
 
-def test_orbit_budget_on_the_chain_resolution():
+def test_orbit_budget_on_the_kept_columns():
     # H_3 of the Klein four group is (Z/2)^3 with six automorphisms, an
-    # orbit cost of 8 x 13 = 104, far below the 9,840 of its resolution.
+    # orbit cost of 8 x 13 = 104, below the 2 x 3^3 x 5 = 270 of the
+    # columns of d_4 that bar homology reads.
     k4 = klein_four_group()
     w = OrientationChar.trivial(k4)
-    report = homology_orbits(k4, w, 3, budget=9_840)
+    report = homology_orbits(k4, w, 3, budget=270)
     assert report.presentation.torsion_order() == 8
     assert report.automorphism_count == 6
     assert report.orbit_count == 4
     with pytest.raises(BudgetExceededError) as info:
-        homology_orbits(k4, w, 3, budget=9_839)
-    assert "resolution cost 9840" in str(info.value)
+        homology_orbits(k4, w, 3, budget=269)
+    assert str(info.value) == (
+        "bar homology cost 270 exceeds budget 269 (kept columns of d_4: 2 "
+        "bar generators times 27 tuples, at most 5 faces each); raise the "
+        "budget")
 
 
 # (group, index in ``all_characters``) -> invariants, automorphism count,
@@ -409,8 +408,7 @@ ORDER_EIGHT_DEGREE_THREE_TRIVIAL = {"d4": ((0, (2, 2, 4)), 8),
 def test_order_eight_degree_three_orbits(make, name):
     group = make()
     for index, w in enumerate(all_characters(group)):
-        report = homology_orbits(group, w, 3,
-                                 budget=ORDER_EIGHT_DEGREE_THREE_BUDGET)
+        report = homology_orbits(group, w, 3)
         got = (report.presentation.invariant_factors(),
                report.automorphism_count, report.orbit_count,
                sorted(size for _, size in report.orbits))

@@ -34,7 +34,8 @@ path it replaced, which stays in the package as the oracle:
 * the cyclic provider's one twisted entry of the periodic ``d_{k+1}``
   against the Smith normal form of the built periodic resolution on
   ``Z/n`` for ``n = 1..16``, its orbit reports against those of the built
-  resolution and of the bar route.
+  resolution and of the bar route, and the orbit route's direct read of
+  that entry against the lifts and coordinates of ``Cokernel``.
 
 The last tests pin that ``group_homology`` builds ``d_{k+1}`` alone, once,
 and on the bar route only the columns the lemma keeps, the same columns
@@ -602,19 +603,78 @@ def test_periodic_route_still_refuses_a_group_that_is_not_cyclic():
             reader(klein4, w, 1, provider="cyclic")
 
 
-def test_budget_fires_where_the_chain_resolution_would():
+def general_periodic_action(group, w, k):
+    """Homology and the map of each character-preserving automorphism on
+    the periodic route, as the general route reads them: lifts and
+    coordinates of a :class:`~gammalab.intmat.Cokernel` of ``d_{k+1}``."""
+    coker = Cokernel(*homology._twisted_differential(group, w, k, "cyclic",
+                                                     None, None))
+    free = coker.rank if k == 0 else 0
+    pres = AbelianPresentation.from_diagonal([0] * free + list(coker.torsion))
+    hidden = [0] * (coker.rank - free)
+    lifts = [coker.lift(unit[:free] + hidden, unit[free:])
+             for unit in IntMatrix.identity(pres.ngens).data]
+    maps = []
+    for alpha in homology.automorphisms_preserving(group, w):
+        scalar = homology._periodic_self_map(group, w, k, alpha)
+        columns = []
+        for lift in lifts:
+            f, t = coker.coordinates({0: scalar * lift[0]})
+            columns.append(list(f[:free] + t))
+        maps.append(IntMatrix.from_columns(columns, rows=pres.ngens).data)
+    return pres, maps
+
+
+def test_periodic_entry_is_read_as_the_general_cokernel_reads_it():
+    """The periodic ``d_{k+1}`` is one entry ``d``: ``Cokernel`` gives
+    ``Z/|d|`` with coordinate ``sign(d)·x mod |d|``, ``Z`` with coordinate
+    ``x`` for ``d = 0`` and nothing for ``|d| = 1``, and the orbit route's
+    direct read gives the same homology and maps on every cyclic bundled
+    (group, character, degree)."""
+    for d in range(-6, 7):
+        coker = Cokernel(1, [{0: d}])
+        for x in range(-13, 14):
+            expected = (((x,), ()) if d == 0 else ((), ()) if abs(d) == 1
+                        else ((), ((1 if d > 0 else -1) * x % abs(d),)))
+            assert coker.coordinates({0: x}) == expected, (d, x)
+    checked = 0
+    for name, group in sorted(standard_library().items()):
+        if not group.is_cyclic():
+            continue
+        for w in all_characters(group):
+            for k in range(MAX_DEGREE + 1):
+                pres, homs = induced_homology_maps(group, w, k,
+                                                   provider="cyclic")
+                assert (pres, [hom.matrix.data for hom in homs]) == \
+                    general_periodic_action(group, w, k), (name, w.values, k)
+                checked += 1
+    assert checked == 5 * (1 + 2 + 1 + 2 + 2)
+
+
+def test_budget_fires_at_the_kept_column_bound():
+    """Bar homology in degree ``k`` is charged ``|T|·(n-1)^k·(k+2)``, a
+    bound on the columns of ``d_{k+1}`` it reads and on their nonzeros; the
+    chain resolution is charged :func:`resolution_cost`."""
     for name, group in sorted(standard_library().items()):
         w = OrientationChar.trivial(group)
+        kept = group.bar_generators()
         for k in range(MAX_DEGREE + 1):
-            cost = chain_cost(group.order, k + 1)
-            if cost == 0:
-                continue
-            with pytest.raises(BudgetExceededError):
-                group_homology(group, w, k, provider="bar", budget=cost - 1)
-            with pytest.raises(BudgetExceededError):
-                chain_resolution(group, k + 1, budget=cost - 1)
-            if cost <= BUDGET:
+            columns = len(kept) * (group.order - 1) ** k
+            cost = columns * (k + 2)
+            built = twisted_chain_columns(group, w, k + 1, kept)
+            assert len(built) <= columns, (name, k)
+            assert sum(map(len, built)) <= cost, (name, k)
+            if cost:
+                with pytest.raises(BudgetExceededError,
+                                   match=f"^bar homology cost {cost} "):
+                    group_homology(group, w, k, provider="bar",
+                                   budget=cost - 1)
                 group_homology(group, w, k, provider="bar", budget=cost)
+            chain = chain_cost(group.order, k + 1)
+            if chain:
+                with pytest.raises(BudgetExceededError,
+                                   match=f"^resolution cost {chain} "):
+                    chain_resolution(group, k + 1, budget=chain - 1)
 
 
 def test_stored_resolution_breaking_the_chain_condition_is_refused():

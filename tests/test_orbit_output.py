@@ -1,24 +1,29 @@
 """``gammalab orbit`` output, pinned for every bundled (group, character,
-degree) the kernel-basis route answered within a minute.
+degree) at ``--budget 7000000``.
 
-The fixture was frozen from that route.  Orbits now come from the torsion
-of the cokernel of ``d_{k+1}``, whose canonical coordinates can differ, so
-what is pinned byte for byte is what does not depend on coordinates: the
-``H_k`` line, the free rank, the automorphism count, the orbit count, the
-sorted orbit sizes, and the whole report of a refused query.  Each printed
-representative must be the least member, in the new coordinates, of an
-orbit of the printed size.
+The cases the kernel-basis route answered within a minute were frozen from
+that route; the rest, which it refused or did not answer, from the
+cokernel route.  Orbits now come from the torsion of the cokernel of
+``d_{k+1}``, whose canonical coordinates can differ, so what is pinned byte
+for byte is what does not depend on coordinates: the ``H_k`` line, the free
+rank, the automorphism count, the orbit count, the sorted orbit sizes, and
+the whole report of a refused query.  Each printed representative must be
+the least member, in the new coordinates, of an orbit of the printed size.
+To add the cases the fixture lacks or refuses, keeping every answered case
+as it is, run ``python tests/test_orbit_output.py`` with the package on the
+path.
 """
 
 import io
 import json
 import os
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 from gammalab import cli
-from gammalab.homology import induced_homology_maps
-from gammalab.serialize import bundled_path, load_group
+from gammalab.homology import MAX_DEGREE, induced_homology_maps
+from gammalab.serialize import bundled_names, bundled_path, load_group
 
 PINNED = os.path.join(os.path.dirname(__file__), "data",
                       "orbit_bundled.json")
@@ -62,10 +67,47 @@ def option(argv, name):
     return argv[argv.index(name) + 1]
 
 
+def case_argvs():
+    for name in sorted(bundled_names("group")):
+        _, characters = load_group(bundled_path("group", name))
+        for character in sorted(characters):
+            for degree in range(MAX_DEGREE + 1):
+                yield ["orbit", "--group", name, "--character", character,
+                       "--degree", str(degree), "--budget", "7000000"]
+
+
+def freeze():
+    """Keep every answered case of the fixture and run every other argv of
+    :func:`case_argvs` now."""
+    with open(PINNED, encoding="utf-8") as handle:
+        answered = {tuple(case["argv"]): case
+                    for case in json.load(handle)["cases"] if case["exit"] == 0}
+    cases = []
+    for argv in case_argvs():
+        case = answered.get(tuple(argv))
+        if case is None:
+            code, text, err = run_cli(argv)
+            case = {"argv": argv, "exit": code}
+            if code:
+                case["stderr"] = err
+            else:
+                structured = run_cli(argv + ["--format", "structured"])[1]
+                case.update(table=text.splitlines(),
+                            structured=json.loads(structured))
+        cases.append(case)
+    with open(PINNED, "w", encoding="utf-8") as handle:
+        json.dump({"cases": cases,
+                   "frozen_from": "gammalab orbit, table and structured "
+                                  "formats: the kernel-basis route where it "
+                                  "answered within a minute, the cokernel "
+                                  "route elsewhere"},
+                  handle, indent=1, sort_keys=True)
+
+
 def test_bundled_orbit_output_is_pinned():
     with open(PINNED, encoding="utf-8") as handle:
         cases = json.load(handle)["cases"]
-    assert len(cases) == 102
+    assert [case["argv"] for case in cases] == list(case_argvs())
     for case in cases:
         argv = case["argv"]
         code, text, err = run_cli(argv)
@@ -96,3 +138,7 @@ def test_bundled_orbit_output_is_pinned():
         for rep, size in orbits:
             orbit = orbit_of(pres, homs, rep)
             assert (min(orbit), len(orbit)) == (rep, size), argv
+
+
+if __name__ == "__main__":
+    sys.exit(freeze())

@@ -29,7 +29,6 @@ from gammalab.resolutions import (
     Resolution,
     chain_resolution,
     chain_resolution_ranks,
-    check_budget,
     periodic_generator,
     periodic_resolution,
     resolution_cost,
@@ -258,14 +257,19 @@ def test_resolution_cost_is_sum_of_block_sizes():
 
 
 def test_check_budget_raises_with_sizes():
+    s3 = symmetric_group_3()
     with pytest.raises(BudgetExceededError) as info:
-        check_budget(6, chain_resolution_ranks(6, 5), DEFAULT_BUDGET)
-    message = str(info.value)
-    assert "12207030" in message
-    assert "250000" in message
-    assert "1x5" in message
-    check_budget(6, chain_resolution_ranks(6, 5), None)  # unlimited is fine
-    check_budget(6, chain_resolution_ranks(6, 2), DEFAULT_BUDGET)
+        chain_resolution(s3, 5, budget=DEFAULT_BUDGET)
+    assert str(info.value) == (
+        "resolution cost 12207030 exceeds budget 250000 (group order 6, "
+        "differential sizes 1x5 + 5x25 + 25x125 + 125x625 + 625x3125); "
+        "raise the budget")
+    # The estimate passes and one less refuses.
+    cost = resolution_cost(6, chain_resolution_ranks(6, 3))
+    assert chain_resolution(s3, 3, budget=cost).ranks == [1, 5, 25, 125]
+    with pytest.raises(BudgetExceededError, match=f"cost {cost} exceeds"):
+        chain_resolution(s3, 3, budget=cost - 1)
+    assert chain_resolution(s3, 3, budget=None).ranks == [1, 5, 25, 125]
 
 
 def test_chain_resolution_respects_budget():
